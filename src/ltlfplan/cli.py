@@ -19,16 +19,17 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import (
-    CSV_COLUMNS, MODEL_NAMES, PRESETS, SPEC_STRINGS, build_instance, make_model,
-    make_spec, render_trajectory_ascii, run_experiment, trajectory_table,
+    CSV_COLUMNS, MODEL_NAMES, PRESETS, make_model, render_trajectory_ascii, run_experiment,
+    trajectory_table,
 )
 from .dfa import compile_minimal_dfa, dfa_to_dot, save_dfa
 from .ltlf import LtlfError, parse_formula
 from .pbvi import SolverConfig, load_policy, save_policy
 from .planner import (
-    ConstrainedProblem, MixedPolicy, eg_solve, export_trace_csv, mc_evaluate, save_result,
+    ConstrainedProblem, MixedPolicy, eg_solve, export_trace_csv, mc_evaluate, rollout_policy,
+    save_result,
 )
-from .pomdp import ModelError, derive_seed, load_model, sample_trajectory
+from .pomdp import ModelError, derive_seed, load_model
 from .product import build_product, prune_unreachable, save_product
 
 EXIT_OK = 0
@@ -76,6 +77,9 @@ def _load_spec_text(args) -> str:
 def _resolve_model(path_or_name: str):
     if path_or_name in MODEL_NAMES:
         return make_model(path_or_name)
+    if not Path(path_or_name).is_file():
+        raise ValidationFailure(f"unknown model {path_or_name!r}: neither a model file "
+                                f"nor a builtin name ({', '.join(MODEL_NAMES)})")
     return load_model(path_or_name)
 
 
@@ -182,10 +186,13 @@ def cmd_solve(args) -> int:
 def _load_mixture(path: Path):
     with open(path) as fh:
         doc = json.load(fh)
-    if "policies" in doc and "weights" in doc:
-        policies = [load_policy(path.parent / rel) for rel in doc["policies"]]
-        return MixedPolicy(policies, doc["weights"])
-    return load_policy(path)
+    try:
+        if "policies" in doc and "weights" in doc:
+            policies = [load_policy(path.parent / rel) for rel in doc["policies"]]
+            return MixedPolicy(policies, doc["weights"])
+        return load_policy(path)
+    except KeyError as exc:
+        raise ValidationFailure(f"malformed policy file {path}: missing field {exc}") from exc
 
 
 def cmd_evaluate(args) -> int:
@@ -264,13 +271,8 @@ def cmd_trace(args) -> int:
     if args.prune:
         prod = prune_unreachable(prod)
     policy = _load_mixture(Path(args.policy))
-    if isinstance(policy, MixedPolicy):
-        # deterministic draw of the executed pure policy
-        from .pomdp import make_rng
-        rng = make_rng(derive_seed(args.seed, 0x7))
-        idx = int(np.searchsorted(np.cumsum(policy.weights), rng.random()))
-        policy = policy.policies[min(idx, len(policy.policies) - 1)]
-    traj = sample_trajectory(prod, policy, derive_seed(args.seed))
+    # replay rollout 0 of `evaluate --seed` with the same policy file
+    traj = prod.simulate(rollout_policy(policy, args.seed, 0), derive_seed(args.seed, 0))
     out = _out_dir(args)
     rows = trajectory_table(prod, traj)
     with open(out / "trace.csv", "w", newline="") as fh:
@@ -292,8 +294,6 @@ def cmd_trace(args) -> int:
 def _add_common(p, out_default=None):
     p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     p.add_argument("--out", default=out_default, help="output directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; computation is deterministic and single-process")
     p.add_argument("--quiet", action="store_true")
 
 
@@ -374,7 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationFailure, LtlfError, ModelError, FileNotFoundError, KeyError) as exc:
+    except (ValidationFailure, LtlfError, ModelError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:

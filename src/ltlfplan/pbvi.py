@@ -195,34 +195,54 @@ def expand_stage_beliefs(prod, T: int, cfg: SolverConfig) -> list[np.ndarray]:
 # Backups
 # --------------------------------------------------------------------------
 
-def _point_backup(prod, reward, gamma, beliefs, mat, acts):
-    """One point-based backup at every belief against the alpha set (mat, acts).
+@dataclass(frozen=True)
+class _BackupTables:
+    """The product's P and Z laid out for `_point_backup`; built once per solve."""
+    P_flat: np.ndarray   # (X, A*X): P_flat[x, a*X + y] = P[x, a, y]
+    P_T: np.ndarray      # (A, X, X): P_T[a, y, x] = P[x, a, y]
+    obs: list            # (states y with Z[y, o] > 0, Z[those, o]) per observation with any
+
+
+def _backup_tables(prod) -> _BackupTables:
+    X, A = prod.n_states, prod.n_actions
+    obs = []
+    for o in range(prod.n_observations):
+        support = np.nonzero(prod.Z[:, o] > 0)[0]
+        if support.size:
+            obs.append((support, prod.Z[support, o]))
+    return _BackupTables(P_flat=prod.P.reshape(X, A * X),
+                         P_T=np.ascontiguousarray(prod.P.transpose(1, 2, 0)), obs=obs)
+
+
+def _point_backup(tables: _BackupTables, reward, gamma, beliefs, mat):
+    """One point-based backup at every belief against the alpha set ``mat``.
 
     Returns (new_mat, new_acts, values) where row b is the backed-up vector
     chosen for beliefs[b] and values[b] its value there.
+
+    For each (belief b, action a, observation o) the best alpha maximizes
+    sum_y pred_a(b)[y] Z[y, o] alpha[y], with pred_a(b) = b P_a; only the
+    states y with Z[y, o] > 0 enter, and ties (zero-mass pairs included) go
+    to the lowest alpha index.  The chosen alphas fold into
+    H_a[b, y] = sum_o Z[y, o] alpha_best(b, a, o)[y], and the backed-up
+    vector is reward[:, a] + gamma * P_a H_a[b].  A round costs
+    O(A nb (X^2 + nnz(Z) n)) for nb beliefs and n alphas.
     """
-    X, A = prod.n_states, prod.n_actions
-    O = prod.n_observations
-    n = mat.shape[0]
+    X = mat.shape[1]
+    A = tables.P_T.shape[0]
     nb = beliefs.shape[0]
-    # weighted alphas W[y, o, i] = Z[y, o] * alpha_i[y], shared across actions
-    W = (prod.Z[:, :, None] * mat.T[:, None, :]).reshape(X, O * n)
-    best_per_action = np.empty((A, nb, X))
-    value_per_action = np.empty((A, nb))
-    obs_idx = np.arange(O)
-    for a in range(A):
-        # G[x, o, i]: back-projection of alpha_i through (a, o)
-        G = (prod.P[:, a, :] @ W).reshape(X, O, n)
-        scores = (beliefs @ G.reshape(X, O * n)).reshape(nb, O, n)
-        best = scores.argmax(axis=2)  # (nb, O), ties -> lowest index
-        future = G.transpose(1, 0, 2)[obs_idx, :, best].sum(axis=1)
-        vec = reward[None, :, a] + gamma * future
-        best_per_action[a] = vec
-        value_per_action[a] = (vec * beliefs).sum(axis=1)
+    pred = (beliefs @ tables.P_flat).reshape(nb * A, X)  # row b*A + a is pred_a(b)
+    H = np.zeros((nb * A, X))
+    for support, z in tables.obs:
+        alphas = mat[:, support]
+        best = ((pred[:, support] * z) @ alphas.T).argmax(axis=1)  # ties -> lowest index
+        H[:, support] += alphas[best] * z
+    H = H.reshape(nb, A, X).transpose(1, 0, 2)
+    vecs = reward.T[:, None, :] + gamma * (H @ tables.P_T)  # (A, nb, X)
+    value_per_action = (vecs * beliefs).sum(axis=2)
     choice = value_per_action.argmax(axis=0)  # (nb,), ties -> lowest action
-    new_mat = best_per_action[choice, np.arange(nb)]
-    values = value_per_action[choice, np.arange(nb)]
-    return new_mat, choice.astype(np.int64), values
+    rows = np.arange(nb)
+    return vecs[choice, rows], choice.astype(np.int64), value_per_action[choice, rows]
 
 
 def _prune_to_winners(beliefs, mat, acts):
@@ -254,12 +274,13 @@ def solve_discounted(prod, reward, gamma: float, cfg: SolverConfig,
         mat = np.vstack([mat, warm_start[0]])
         acts = np.concatenate([acts, np.asarray(warm_start[1], dtype=np.int64)])
         mat, acts = _prune_to_winners(beliefs, mat, acts)
+    tables = _backup_tables(prod)
     point_values = (beliefs @ mat.T).max(axis=1)
     history = [point_values]
     converged = False
     rounds = 0
     for rounds in range(1, cfg.max_backup_rounds + 1):
-        new_mat, new_acts, _ = _point_backup(prod, reward, gamma, beliefs, mat, acts)
+        new_mat, new_acts, _ = _point_backup(tables, reward, gamma, beliefs, mat)
         combined = np.vstack([mat, new_mat])
         combined_acts = np.concatenate([acts, new_acts])
         vals = beliefs @ combined.T
@@ -302,8 +323,9 @@ def solve_finite_horizon(prod, reward, T: int, cfg: SolverConfig,
     mats = [None] * (T + 1)
     acts = [None] * (T + 1)
     mats[T], acts[T] = last_mat, last_acts
+    tables = _backup_tables(prod)
     for t in range(T - 1, -1, -1):
-        new_mat, new_acts, _ = _point_backup(prod, reward, 1.0, stages[t], mats[t + 1], acts[t + 1])
+        new_mat, new_acts, _ = _point_backup(tables, reward, 1.0, stages[t], mats[t + 1])
         keep = np.unique((stages[t] @ new_mat.T).argmax(axis=1))
         mats[t], acts[t] = new_mat[keep], new_acts[keep]
     alphas = [[AlphaVector(int(a), v) for a, v in zip(acts[t], mats[t])] for t in range(T + 1)]

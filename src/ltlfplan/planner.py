@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pbvi import AlphaPolicy, SolverConfig, solve_discounted, solve_finite_horizon, start_value
-from .pomdp import derive_seed, make_rng
+from .pomdp import _categorical, derive_seed, make_rng
 from .product import ProductPomdp
 
 
@@ -189,6 +189,15 @@ def eg_update_lambda(lam: float, p_hat: float, eta: float, B: float, delta: floa
 _SELECT_STREAM = 0x5E1EC7
 
 
+def rollout_policy(policy, seed: int, i: int):
+    """The pure policy that rollout i of ``mc_evaluate(policy, prod, n, seed)``
+    executes; a MixedPolicy draws it from the selection stream (seed, i)."""
+    if not isinstance(policy, MixedPolicy):
+        return policy
+    select_rng = make_rng(derive_seed(seed, i, _SELECT_STREAM))
+    return policy.policies[_categorical(select_rng, policy.weights)]
+
+
 def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
     """Estimate cumulative step reward and satisfaction probability.
 
@@ -201,17 +210,8 @@ def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
         raise ValueError("need at least one rollout")
     totals = np.empty(n)
     finals = np.empty(n)
-    mixed = isinstance(policy, MixedPolicy)
     for i in range(n):
-        if mixed:
-            select_rng = make_rng(derive_seed(seed, i, _SELECT_STREAM))
-            cumulative = np.cumsum(policy.weights)
-            u = select_rng.random() * cumulative[-1]
-            idx = int(min(np.searchsorted(cumulative, u, side="right"), len(policy.weights) - 1))
-            pure = policy.policies[idx]
-        else:
-            pure = policy
-        traj = prod.simulate(pure, derive_seed(seed, i))
+        traj = prod.simulate(rollout_policy(policy, seed, i), derive_seed(seed, i))
         totals[i] = traj.rewards.sum()
         finals[i] = 1.0 if traj.final_dfa_state in prod.dfa.accepting else 0.0
     r_se = float(totals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0

@@ -373,12 +373,15 @@ def model_from_dict(doc: dict) -> LabeledPomdp:
 
     stop_doc = doc["stopping"]
     kind = stop_doc.get("kind")
+    needed = {"fixed": "T", "geometric": "gamma"}
+    if kind not in needed:
+        raise ModelError(f"unknown stopping kind {kind!r}")
+    if needed[kind] not in stop_doc:
+        raise ModelError(f"{kind} stopping needs field {needed[kind]!r}")
     if kind == "fixed":
         stopping = StoppingModel.fixed(int(stop_doc["T"]))
-    elif kind == "geometric":
-        stopping = StoppingModel.geometric(_prob(stop_doc["gamma"], "stopping"))
     else:
-        raise ModelError(f"unknown stopping kind {kind!r}")
+        stopping = StoppingModel.geometric(_prob(stop_doc["gamma"], "stopping"))
 
     model = LabeledPomdp(doc["name"], states, actions, observations, P, Z, varpi,
                          atoms, labels, rewards, stopping)

@@ -1,12 +1,17 @@
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ltlfplan.benchmarks import twostate_constrained
+import ltlfplan.cli
+from ltlfplan.benchmarks import trajectory_table, twostate_constrained
 from ltlfplan.cli import main
+from ltlfplan.pbvi import AlphaPolicy, AlphaVector, load_policy, save_policy
 from ltlfplan.planner import auto_eta
 from ltlfplan.pomdp import save_model
+from ltlfplan.product import ProductPomdp
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +130,42 @@ def test_evaluate_and_trace_roundtrip(tmp_path, model_file, capsys):
     assert (tout / "trace.txt").exists()
 
 
+def test_trace_replays_rollout_zero_of_evaluate(tmp_path, model_file, monkeypatch):
+    out = tmp_path / "s"
+    assert run("solve", "--model", model_file, "--spec", "F g", "--threshold", "0.75",
+               "--B", "4", "--K", "1", "--simu", "8", "--n-beliefs", "6",
+               "--max-rounds", "40", "--out", str(out), "--quiet") == 0
+    # an even mixture of "always action 0" and "always action 1": the action
+    # column shows which policy the selection draw picked
+    n = load_policy(out / "policies" / "policy_0001.json").n_states
+    for a in (0, 1):
+        save_policy(AlphaPolicy("stationary", [AlphaVector(a, np.zeros(n))], n, gamma=0.9),
+                    out / f"always_{a}.json")
+    (out / "mixture.json").write_text(json.dumps(
+        {"weights": [0.5, 0.5], "policies": ["always_0.json", "always_1.json"]}))
+    simulated = []
+    simulate = ProductPomdp.simulate
+
+    def recording(prod, policy, seed):
+        traj = simulate(prod, policy, seed)
+        simulated.append((prod, traj))
+        return traj
+
+    monkeypatch.setattr(ProductPomdp, "simulate", recording)
+    for seed in range(8):
+        simulated.clear()
+        common = ["--model", model_file, "--spec", "F g", "--policy", str(out / "mixture.json"),
+                  "--seed", str(seed)]
+        assert run("evaluate", *common, "--rollouts", "1") == 0
+        prod, rollout0 = simulated[0]
+        tout = tmp_path / f"t{seed}"
+        assert run("trace", *common, "--out", str(tout), "--quiet") == 0
+        with open(tout / "trace.csv", newline="") as fh:
+            traced = list(csv.DictReader(fh))
+        assert traced == [{k: str(v) for k, v in row.items()}
+                          for row in trajectory_table(prod, rollout0)]
+
+
 def test_evaluate_rejects_mismatched_policy(tmp_path, model_file):
     out = tmp_path / "s"
     assert run("solve", "--model", model_file, "--spec", "F g", "--threshold", "0.75",
@@ -148,6 +189,34 @@ def test_bench_dry_run(tmp_path, capsys):
 
 def test_bench_unknown_row(tmp_path):
     assert run("bench", "--rows", "M42", "--out", str(tmp_path / "b")) == 3
+
+
+def test_unknown_model_name(tmp_path, capsys):
+    assert run("product", "--model", "M42", "--spec", "F a",
+               "--out", str(tmp_path / "p")) == 3
+    assert "unknown model 'M42'" in capsys.readouterr().err
+
+
+def test_internal_key_error_is_a_runtime_failure(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(ltlfplan.cli, "compile_minimal_dfa", broken)
+    assert run("compile", "--spec", "F a", "--out", str(tmp_path / "c")) == 4
+    assert "runtime error (KeyError)" in capsys.readouterr().err
+
+
+def test_malformed_input_files_are_validation_errors(tmp_path, model_file):
+    doc = json.loads(Path(model_file).read_text())
+    doc["stopping"] = {"kind": "fixed"}
+    bad_model = tmp_path / "no_horizon.json"
+    bad_model.write_text(json.dumps(doc))
+    assert run("product", "--model", str(bad_model), "--spec", "F g",
+               "--out", str(tmp_path / "p")) == 3
+    bad_policy = tmp_path / "policy.json"
+    bad_policy.write_text(json.dumps({"n_states": 4, "alphas": []}))
+    assert run("evaluate", "--model", model_file, "--spec", "F g",
+               "--policy", str(bad_policy), "--rollouts", "1") == 3
 
 
 def test_missing_model_file(tmp_path):

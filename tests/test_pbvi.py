@@ -1,16 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import TRUE, parse_formula
 from ltlfplan.pbvi import (
-    AlphaPolicy, AlphaVector, SolverConfig, exact_value_oracle, load_policy,
-    policy_action, policy_from_dict, policy_to_dict, save_policy, solve_discounted,
-    solve_finite_horizon, start_value,
+    AlphaPolicy, AlphaVector, SolverConfig, _backup_tables, _point_backup, exact_value_oracle,
+    load_policy, policy_action, policy_from_dict, policy_to_dict, save_policy,
+    solve_discounted, solve_finite_horizon, start_value,
 )
-from ltlfplan.pomdp import LabeledPomdp, StoppingModel, derive_seed, sample_trajectory
+from ltlfplan.planner import scalarize
+from ltlfplan.pomdp import LabeledPomdp, StoppingModel, derive_seed, make_rng, sample_trajectory
 from ltlfplan.product import build_product
-from ltlfplan.benchmarks import random_tiny_model, twostate_constrained
+from ltlfplan.benchmarks import PRESETS, build_instance, random_tiny_model, twostate_constrained
 
 from helpers import (
     deterministic_chain, fully_observable, mdp_value_iteration_discounted,
@@ -117,6 +120,113 @@ def test_discounted_argument_validation():
         solve_discounted(prod, np.zeros((3, 3)), 0.9, SolverConfig())
     with pytest.raises(ValueError):
         SolverConfig(n_beliefs=0)
+
+
+# --------------------------------------------------------------------------
+# The point backup against the dense back-projection formula
+# --------------------------------------------------------------------------
+
+NEAR_TIE = 1e-12
+
+
+def dense_point_backup(prod, reward, gamma, beliefs, mat):
+    """Reference backup through the dense back-projections
+    G_a[x, o, i] = sum_y P[x, a, y] Z[y, o] alpha_i[y].
+
+    Returns (new_mat, new_acts, values, clear) where clear[b] says that no
+    near-tie decided row b: neither between actions nor, for the chosen
+    action, at an observation o of positive mass between alphas that differ
+    where Z[:, o] > 0 (alphas equal there back-project to the same vector).
+    """
+    X, A, O = prod.n_states, prod.n_actions, prod.n_observations
+    n, nb = mat.shape[0], beliefs.shape[0]
+    W = (prod.Z[:, :, None] * mat.T[:, None, :]).reshape(X, O * n)
+    # same_on[o, i, j]: alphas i and j agree on the states that can emit o
+    same_on = np.stack([np.all(mat[:, None, prod.Z[:, o] > 0] == mat[None, :, prod.Z[:, o] > 0],
+                               axis=2) for o in range(O)])
+    scale = 1.0 + np.abs(mat).max()
+    vecs = np.empty((A, nb, X))
+    values = np.empty((A, nb))
+    alpha_clear = np.empty((A, nb), dtype=bool)
+    for a in range(A):
+        G = (prod.P[:, a, :] @ W).reshape(X, O, n)
+        scores = (beliefs @ G.reshape(X, O * n)).reshape(nb, O, n)
+        best = scores.argmax(axis=2)
+        vecs[a] = reward[None, :, a] + gamma * G.transpose(1, 0, 2)[np.arange(O), :, best].sum(axis=1)
+        values[a] = (vecs[a] * beliefs).sum(axis=1)
+        # scores are mass-weighted posterior values: a near-tie is relative to the mass
+        mass = (beliefs @ prod.P[:, a, :]) @ prod.Z
+        near = scores >= scores.max(axis=2, keepdims=True) - NEAR_TIE * scale * mass[:, :, None]
+        same = same_on[np.arange(O)[None, :], best]  # (nb, O, n)
+        alpha_clear[a] = np.all((mass == 0) | np.all(same | ~near, axis=2), axis=1)
+    choice = values.argmax(axis=0)
+    rows = np.arange(nb)
+    ranked = np.sort(values, axis=0)
+    action_clear = ranked[-1] - ranked[-2] > NEAR_TIE * scale if A > 1 else np.ones(nb, dtype=bool)
+    clear = action_clear & alpha_clear[choice, rows]
+    return vecs[choice, rows], choice, values[choice, rows], clear
+
+
+def random_sparse_instance(seed, X=14, A=3, O=6, n_alphas=9, n_beliefs=40):
+    """Sparse P (at most three successors per row) and sparse Z whose last
+    column is all zero; a third of the beliefs sit on a single state, so
+    many (belief, action, observation) triples carry no mass."""
+    rng = make_rng(seed)
+    P = np.zeros((X, A, X))
+    for x in range(X):
+        for a in range(A):
+            succ = rng.choice(X, size=int(rng.integers(1, 4)), replace=False)
+            P[x, a, succ] = rng.random(succ.size) + 0.1
+    P /= P.sum(axis=2, keepdims=True)
+    Z = np.zeros((X, O))
+    for y in range(X):
+        seen = rng.choice(O - 1, size=int(rng.integers(1, 3)), replace=False)
+        Z[y, seen] = rng.random(seen.size) + 0.1
+    Z /= Z.sum(axis=1, keepdims=True)
+    beliefs = np.zeros((n_beliefs, X))
+    for b in range(n_beliefs):
+        support = rng.choice(X, size=1 if b % 3 == 0 else int(rng.integers(2, X + 1)), replace=False)
+        beliefs[b, support] = rng.random(support.size) + 0.01
+    beliefs /= beliefs.sum(axis=1, keepdims=True)
+    prod = SimpleNamespace(P=P, Z=Z, n_states=X, n_actions=A, n_observations=O)
+    return prod, rng.normal(size=(X, A)), beliefs, rng.normal(size=(n_alphas, X))
+
+
+def assert_backups_agree(prod, reward, gamma, beliefs, mat, min_clear=0.5):
+    want_mat, want_acts, want_values, clear = dense_point_backup(prod, reward, gamma, beliefs, mat)
+    got_mat, got_acts, got_values = _point_backup(_backup_tables(prod), reward, gamma, beliefs, mat)
+    assert np.array_equal(got_acts, want_acts)
+    assert np.max(np.abs(got_values - want_values)) <= 1e-12
+    assert clear.mean() >= min_clear  # the vector check below is not vacuous
+    assert np.max(np.abs(got_mat[clear] - want_mat[clear])) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("gamma", [0.95, 1.0])
+def test_point_backup_matches_dense_on_random_sparse_pomdps(seed, gamma):
+    prod, reward, beliefs, mat = random_sparse_instance(seed)
+    assert not prod.Z[:, -1].any()
+    masses = np.einsum("bx,xay,yo->bao", beliefs, prod.P, prod.Z[:, :-1])
+    assert (masses == 0).any()
+    assert_backups_agree(prod, reward, gamma, beliefs, mat)
+
+
+def test_point_backup_single_alpha():
+    prod, reward, beliefs, mat = random_sparse_instance(7, n_alphas=1)
+    assert_backups_agree(prod, reward, 1.0, beliefs, mat)
+
+
+def test_point_backup_matches_dense_on_pruned_m7():
+    _, _, prod = build_instance("M7")
+    preset = PRESETS["M7"]
+    gamma = prod.stopping.gamma
+    for lam in (preset.B / 2, 0.0):
+        reward, _ = scalarize(prod, lam, 1.0 - preset.threshold)
+        policy = solve_discounted(prod, reward, gamma, SolverConfig(
+            n_beliefs=100, max_backup_rounds=60, expansion_seed=1))
+        mat = np.vstack([a.values for a in policy.alphas])
+        assert mat.shape[0] > 10
+        assert_backups_agree(prod, reward, gamma, policy.stats["beliefs"], mat)
 
 
 # --------------------------------------------------------------------------
