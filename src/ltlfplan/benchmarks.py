@@ -28,12 +28,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dfa import compile_minimal_dfa
-from .ltlf import parse_formula
 from .pbvi import SolverConfig
 from .planner import ConstrainedProblem, eg_solve, mc_evaluate
 from .pomdp import LabeledPomdp, StoppingModel, derive_seed, make_rng
-from .product import ProductPomdp, build_product, prune_unreachable
+from .product import ProductPomdp, constrained_product
 
 SPEC_STRINGS = {
     "phi1": "F a & G !b",
@@ -290,25 +288,18 @@ CSV_COLUMNS = ["model", "spec", "S", "Q", "r_hat", "p_hat", "threshold", "B", "e
                "K", "simu", "seed", "t_solve_s", "t_simu_s", "t_total_s", "error"]
 
 
-def build_instance(model_name: str, spec_name: str | None = None, prune: bool = True,
-                   **model_overrides):
-    """Model + compiled DFA + (optionally pruned) product for a preset row."""
-    preset = PRESETS[model_name]
-    spec_name = spec_name or preset.spec
-    model = make_model(model_name, **model_overrides)
-    formula = parse_formula(make_spec(spec_name), atoms=model.atoms)
-    dfa = compile_minimal_dfa(formula, atoms=model.atoms, name=spec_name)
-    prod = build_product(model, dfa)
-    if prune:
-        prod = prune_unreachable(prod)
-    return model, dfa, prod
+def build_instance(model_name: str, spec_name: str | None = None):
+    """Model + compiled DFA + pruned product for a preset row."""
+    model = make_model(model_name)
+    prod = constrained_product(model, make_spec(spec_name or PRESETS[model_name].spec))
+    return model, prod.dfa, prod
 
 
 def run_experiment(model_name: str, spec_name: str | None = None, *, K: int | None = None,
                    simu: int | None = None, threshold: float | None = None,
                    B: float | None = None, eta: float | str | None = None,
                    seed: int = 0, cfg: SolverConfig | None = None,
-                   eval_rollouts: int = 200, prune: bool = True):
+                   eval_rollouts: int = 200):
     """One benchmark row: compile, build product, EG-solve, evaluate the mixture.
 
     Returns (row dict in CSV_COLUMNS layout, EGResult, product).
@@ -316,7 +307,7 @@ def run_experiment(model_name: str, spec_name: str | None = None, *, K: int | No
     preset = PRESETS[model_name]
     spec_name = spec_name or preset.spec
     t0 = time.perf_counter()
-    model, dfa, prod = build_instance(model_name, spec_name, prune=prune)
+    model, dfa, prod = build_instance(model_name, spec_name)
     problem = ConstrainedProblem(
         product=prod,
         threshold=preset.threshold if threshold is None else threshold,

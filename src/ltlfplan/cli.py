@@ -30,7 +30,7 @@ from .planner import (
     save_result,
 )
 from .pomdp import ModelError, derive_seed, load_model
-from .product import build_product, prune_unreachable, save_product
+from .product import constrained_product, save_product
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,17 +115,12 @@ def cmd_compile(args) -> int:
 def cmd_product(args) -> int:
     model = _resolve_model(args.model)
     text = _load_spec_text(args)
-    formula = parse_formula(text, atoms=model.atoms)
-    dfa = compile_minimal_dfa(formula, atoms=model.atoms, name=text)
-    prod = build_product(model, dfa)
-    full_size = prod.n_states
-    if args.prune:
-        prod = prune_unreachable(prod)
+    prod = constrained_product(model, text)
     out = _out_dir(args)
     save_product(prod, out / "product.json")
-    _write_manifest(out, "product", args,
-                    {"model_path": args.model, "spec": text, "prune": args.prune})
-    _say(args, f"product states: {prod.n_states} (dense {full_size})  |Q|: {dfa.n_states}")
+    _write_manifest(out, "product", args, {"model_path": args.model, "spec": text})
+    _say(args, f"product states: {prod.n_states} (dense {model.n_states * prod.dfa.n_states})  "
+               f"|Q|: {prod.dfa.n_states}")
     return EXIT_OK
 
 
@@ -138,11 +133,7 @@ def cmd_solve(args) -> int:
     eta = "auto" if args.eta == "auto" else float(args.eta)
     model = _resolve_model(args.model)
     text = _load_spec_text(args)
-    formula = parse_formula(text, atoms=model.atoms)
-    dfa = compile_minimal_dfa(formula, atoms=model.atoms, name=text)
-    prod = build_product(model, dfa)
-    if args.prune:
-        prod = prune_unreachable(prod)
+    prod = constrained_product(model, text)
     problem = ConstrainedProblem(product=prod, threshold=args.threshold, B=args.B,
                                  K=args.K, eta=eta, simu=args.simu, base_seed=args.seed)
     cfg = _solver_config(args)
@@ -176,7 +167,6 @@ def cmd_solve(args) -> int:
         "model_path": args.model, "spec": text, "threshold": args.threshold,
         "B": args.B, "K": args.K, "eta": result.eta, "simu": args.simu,
         "n_beliefs": args.n_beliefs, "max_rounds": args.max_rounds, "tol": args.tol,
-        "prune": args.prune,
     })
     _say(args, f"mixture over {args.K} policies: mean p_hat {result.mean_p_hat():.3f} "
                f"(threshold {args.threshold}), mean r_hat {result.mean_r_hat():.3f}")
@@ -199,11 +189,7 @@ def cmd_evaluate(args) -> int:
     _positive("rollouts", args.rollouts, 1)
     model = _resolve_model(args.model)
     text = _load_spec_text(args)
-    formula = parse_formula(text, atoms=model.atoms)
-    dfa = compile_minimal_dfa(formula, atoms=model.atoms, name=text)
-    prod = build_product(model, dfa)
-    if args.prune:
-        prod = prune_unreachable(prod)
+    prod = constrained_product(model, text)
     policy = _load_mixture(Path(args.policy))
     expected = prod.n_states
     got = policy.policies[0].n_states if isinstance(policy, MixedPolicy) else policy.n_states
@@ -265,11 +251,7 @@ def cmd_bench(args) -> int:
 def cmd_trace(args) -> int:
     model = _resolve_model(args.model)
     text = _load_spec_text(args)
-    formula = parse_formula(text, atoms=model.atoms)
-    dfa = compile_minimal_dfa(formula, atoms=model.atoms, name=text)
-    prod = build_product(model, dfa)
-    if args.prune:
-        prod = prune_unreachable(prod)
+    prod = constrained_product(model, text)
     policy = _load_mixture(Path(args.policy))
     # replay rollout 0 of `evaluate --seed` with the same policy file
     traj = prod.simulate(rollout_policy(policy, args.seed, 0), derive_seed(args.seed, 0))
@@ -306,8 +288,6 @@ def _add_solver_knobs(p):
     p.add_argument("--n-beliefs", type=int, default=100)
     p.add_argument("--max-rounds", type=int, default=400)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True,
-                   help="drop unreachable product states")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product", help="build the constrained product POMDP")
     p.add_argument("--model", required=True, help="model file or builtin name M1..M9")
     _add_spec(p)
-    p.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True)
     _add_common(p, out_default="out_product")
     p.set_defaults(func=cmd_product)
 
@@ -347,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec(p)
     p.add_argument("--policy", required=True, help="policy or mixture file")
     p.add_argument("--rollouts", type=int, default=200)
-    p.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True)
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -363,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_spec(p)
     p.add_argument("--policy", required=True)
-    p.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True)
     _add_common(p, out_default="out_trace")
     p.set_defaults(func=cmd_trace)
     return parser

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pomdp import derive_seed, initial_beliefs, make_rng
+from .pomdp import _categorical, condition, derive_seed, initial_beliefs, make_rng
+
+BELIEF_GAP = 1e-2  # L1 distance below which a sampled belief is not admitted
 
 
 @dataclass
@@ -37,9 +39,7 @@ class SolverConfig:
     max_backup_rounds: int = 500
     bellman_tolerance: float = 1e-3
     expansion_seed: int = 0
-    belief_gap: float = 1e-2        # L1 threshold for admitting a new belief
     exhaustive: bool = False        # finite horizon: enumerate all reachable beliefs
-    max_expansion_steps: int | None = None
 
     def __post_init__(self):
         if self.n_beliefs < 1:
@@ -126,13 +126,7 @@ def _add_belief(beliefs: list, b: np.ndarray, gap: float) -> bool:
 def _predictive_step(prod, rng, b):
     a = int(rng.integers(prod.n_actions))
     predicted = b @ prod.P[:, a, :]
-    obs_probs = predicted @ prod.Z
-    total = obs_probs.sum()
-    cumulative = np.cumsum(obs_probs)
-    o = int(min(np.searchsorted(cumulative, rng.random() * total, side="right"),
-                len(obs_probs) - 1))
-    post = predicted * prod.Z[:, o]
-    return post / post.sum()
+    return condition(prod, predicted, _categorical(rng, predicted @ prod.Z))
 
 
 def expand_beliefs_random_walk(prod, cfg: SolverConfig, gamma: float | None) -> np.ndarray:
@@ -146,17 +140,16 @@ def expand_beliefs_random_walk(prod, cfg: SolverConfig, gamma: float | None) -> 
     beliefs: list[np.ndarray] = []
     for b in seeds:
         _add_belief(beliefs, b, 0.0)
-    cap = cfg.max_expansion_steps if cfg.max_expansion_steps is not None else 200 * cfg.n_beliefs
     restart_prob = (1.0 - gamma) if gamma is not None else 0.0
     b = seeds[0]
-    for _ in range(cap):
+    for _ in range(200 * cfg.n_beliefs):
         if len(beliefs) >= cfg.n_beliefs:
             break
         if restart_prob and rng.random() < restart_prob:
             b = seeds[int(rng.integers(len(seeds)))]
             continue
         b = _predictive_step(prod, rng, b)
-        _add_belief(beliefs, b, cfg.belief_gap)
+        _add_belief(beliefs, b, BELIEF_GAP)
     return np.vstack(beliefs)
 
 
@@ -172,22 +165,20 @@ def expand_stage_beliefs(prod, T: int, cfg: SolverConfig) -> list[np.ndarray]:
                     predicted = b @ prod.P[:, a, :]
                     obs_probs = predicted @ prod.Z
                     for o in np.nonzero(obs_probs > 0)[0]:
-                        post = predicted * prod.Z[:, o]
-                        _add_belief(nxt, post / post.sum(), 1e-12)
+                        _add_belief(nxt, condition(prod, predicted, o), 1e-12)
                         if len(nxt) > 20_000:
                             raise RuntimeError("exhaustive belief expansion too large")
             stages.append(nxt)
         return [np.vstack(stage) for stage in stages]
     rng = make_rng(derive_seed(cfg.expansion_seed, 0xF))
     stages = [list(seeds)] + [[] for _ in range(T)]
-    cap = cfg.max_expansion_steps if cfg.max_expansion_steps is not None else 100 * cfg.n_beliefs
-    for _ in range(cap):
+    for _ in range(100 * cfg.n_beliefs):
         if all(len(stage) >= cfg.n_beliefs for stage in stages[1:]):
             break
         b = seeds[int(rng.integers(len(seeds)))]
         for t in range(1, T + 1):
             b = _predictive_step(prod, rng, b)
-            _add_belief(stages[t], b, cfg.belief_gap)
+            _add_belief(stages[t], b, BELIEF_GAP)
     return [np.vstack(stage) for stage in stages]
 
 
@@ -245,11 +236,16 @@ def _point_backup(tables: _BackupTables, reward, gamma, beliefs, mat):
     return vecs[choice, rows], choice.astype(np.int64), value_per_action[choice, rows]
 
 
-def _prune_to_winners(beliefs, mat, acts):
-    """Keep exactly the vectors that attain the max at some belief point."""
-    winners = (beliefs @ mat.T).argmax(axis=1)
+def _winners(beliefs, mat, acts):
+    """Keep exactly the vectors that attain the max at some belief point.
+
+    Returns (mat, acts, values) with values[b] the max at beliefs[b]; ties
+    go to the lowest vector index.
+    """
+    vals = beliefs @ mat.T
+    winners = vals.argmax(axis=1)
     keep = np.unique(winners)
-    return mat[keep], acts[keep]
+    return mat[keep], acts[keep], vals[np.arange(len(beliefs)), winners]
 
 
 def solve_discounted(prod, reward, gamma: float, cfg: SolverConfig,
@@ -273,21 +269,15 @@ def solve_discounted(prod, reward, gamma: float, cfg: SolverConfig,
     if warm_start is not None:
         mat = np.vstack([mat, warm_start[0]])
         acts = np.concatenate([acts, np.asarray(warm_start[1], dtype=np.int64)])
-        mat, acts = _prune_to_winners(beliefs, mat, acts)
+    mat, acts, point_values = _winners(beliefs, mat, acts)
     tables = _backup_tables(prod)
-    point_values = (beliefs @ mat.T).max(axis=1)
     history = [point_values]
     converged = False
     rounds = 0
     for rounds in range(1, cfg.max_backup_rounds + 1):
         new_mat, new_acts, _ = _point_backup(tables, reward, gamma, beliefs, mat)
-        combined = np.vstack([mat, new_mat])
-        combined_acts = np.concatenate([acts, new_acts])
-        vals = beliefs @ combined.T
-        winners = vals.argmax(axis=1)
-        keep = np.unique(winners)
-        mat, acts = combined[keep], combined_acts[keep]
-        new_values = vals[np.arange(len(beliefs)), winners]
+        mat, acts, new_values = _winners(beliefs, np.vstack([mat, new_mat]),
+                                         np.concatenate([acts, new_acts]))
         delta = float(np.max(new_values - point_values))
         point_values = new_values
         history.append(point_values)
@@ -326,8 +316,7 @@ def solve_finite_horizon(prod, reward, T: int, cfg: SolverConfig,
     tables = _backup_tables(prod)
     for t in range(T - 1, -1, -1):
         new_mat, new_acts, _ = _point_backup(tables, reward, 1.0, stages[t], mats[t + 1])
-        keep = np.unique((stages[t] @ new_mat.T).argmax(axis=1))
-        mats[t], acts[t] = new_mat[keep], new_acts[keep]
+        mats[t], acts[t], _ = _winners(stages[t], new_mat, new_acts)
     alphas = [[AlphaVector(int(a), v) for a, v in zip(acts[t], mats[t])] for t in range(T + 1)]
     policy = AlphaPolicy("time_indexed", alphas, X, horizon=T, converged=True,
                          stats={"stage_beliefs": stages})

@@ -146,23 +146,23 @@ class LabeledPomdp:
 # Beliefs
 # --------------------------------------------------------------------------
 
-def belief_init(model, o0: int) -> np.ndarray:
-    """Posterior over states after the time-0 observation: b0 ~ varpi * Z(.;o0)."""
-    post = model.varpi * model.Z[:, o0]
+def condition(model, predicted: np.ndarray, o: int) -> np.ndarray:
+    """Bayes step: the posterior ~ predicted * Z(.;o) after observing o."""
+    post = predicted * model.Z[:, o]
     total = post.sum()
     if total <= 0.0:
-        raise ImpossibleObservationError(f"observation {o0} has zero probability under the prior")
+        raise ImpossibleObservationError(f"observation {o} has zero probability")
     return post / total
+
+
+def belief_init(model, o0: int) -> np.ndarray:
+    """Posterior over states after the time-0 observation: b0 ~ varpi * Z(.;o0)."""
+    return condition(model, model.varpi, o0)
 
 
 def belief_update(model, belief: np.ndarray, action: int, obs: int) -> np.ndarray:
     """Bayes filter step: b'(s') ~ Z(s';o) * sum_s P(s,a;s') b(s)."""
-    predicted = belief @ model.P[:, action, :]
-    post = predicted * model.Z[:, obs]
-    total = post.sum()
-    if total <= 0.0:
-        raise ImpossibleObservationError(f"observation {obs} has zero probability after action {action}")
-    return post / total
+    return condition(model, belief @ model.P[:, action, :], obs)
 
 
 def initial_beliefs(model) -> list[tuple[float, int, np.ndarray]]:

@@ -13,51 +13,35 @@ import json
 
 import numpy as np
 
-from .dfa import Dfa, dfa_from_dict, dfa_to_dict
+from .dfa import Dfa, compile_minimal_dfa, dfa_from_dict, dfa_to_dict
+from .ltlf import parse_formula
 from .pomdp import (
-    LabeledPomdp, ModelError, StoppingModel, Trajectory, model_from_dict, model_to_dict,
+    LOAD_ATOL, LabeledPomdp, ModelError, Trajectory, model_from_dict, model_to_dict,
     sample_trajectory,
 )
 
 
-class ProductPomdp:
+class ProductPomdp(LabeledPomdp):
     """Product over X = S x Q with dense index x = s*|Q| + q (before pruning).
 
-    Exposes the same array surface as LabeledPomdp (P, Z, varpi, rewards,
-    stopping, ...) so beliefs and the trajectory simulator apply unchanged;
-    ``r_final`` is the extra accepting-state channel.
+    An ordinary LabeledPomdp over the pair states, labeled by their base
+    component, so beliefs, the trajectory simulator and the solvers apply
+    unchanged; ``r_final`` is the extra accepting-state channel.
     """
 
     def __init__(self, base: LabeledPomdp, dfa: Dfa, pairs, P, Z, varpi, rewards,
                  r_final, name: str = ""):
+        pairs = np.ascontiguousarray(pairs, dtype=np.int64)  # (X, 2) of (s, q)
+        super().__init__(name or f"{base.name}*{dfa.name}",
+                         [f"{base.states[s]}|q{q}" for s, q in pairs.tolist()],
+                         base.actions, base.observations, P, Z, varpi, base.atoms,
+                         base.labels[pairs[:, 0]], rewards, base.stopping)
         self.base = base
         self.dfa = dfa
-        self.pairs = np.ascontiguousarray(pairs, dtype=np.int64)  # (X, 2) of (s, q)
-        self.P = np.ascontiguousarray(P, dtype=np.float64)
-        self.Z = np.ascontiguousarray(Z, dtype=np.float64)
-        self.varpi = np.ascontiguousarray(varpi, dtype=np.float64)
-        self.rewards = np.ascontiguousarray(rewards, dtype=np.float64)
+        self.pairs = pairs
         self.r_final = np.ascontiguousarray(r_final, dtype=np.float64)
-        self.stopping = base.stopping
-        self.atoms = base.atoms
-        self.name = name or f"{base.name}*{dfa.name}"
-        self.states = [f"{base.states[s]}|q{q}" for s, q in self.pairs.tolist()]
-        self.actions = list(base.actions)
-        self.observations = list(base.observations)
-        for arr in (self.pairs, self.P, self.Z, self.varpi, self.rewards, self.r_final):
+        for arr in (self.pairs, self.r_final):
             arr.setflags(write=False)
-
-    @property
-    def n_states(self) -> int:
-        return self.pairs.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return len(self.actions)
-
-    @property
-    def n_observations(self) -> int:
-        return len(self.observations)
 
     def base_state(self, x: int) -> int:
         return int(self.pairs[x, 0])
@@ -84,10 +68,12 @@ class ProductPomdp:
         """Base-model state sequence embedded in a product trajectory."""
         return self.pairs[traj.states, 0]
 
-    def validate(self) -> None:
-        rows = self.P.sum(axis=2)
-        if np.any(np.abs(rows - 1.0) > 1e-9):
-            raise ModelError("product transition row does not sum to 1")
+
+def constrained_product(model: LabeledPomdp, spec_text: str) -> ProductPomdp:
+    """Model + LTLf spec text -> minimal DFA (named by the text) -> pruned product."""
+    formula = parse_formula(spec_text, atoms=model.atoms)
+    dfa = compile_minimal_dfa(formula, atoms=model.atoms, name=spec_text)
+    return prune_unreachable(build_product(model, dfa))
 
 
 def build_product(model: LabeledPomdp, dfa: Dfa, name: str = "") -> ProductPomdp:
@@ -115,7 +101,7 @@ def build_product(model: LabeledPomdp, dfa: Dfa, name: str = "") -> ProductPomdp
     accepting = dfa.accepts_mask()
     r_final = accepting[pairs[:, 1]].astype(np.float64)
     prod = ProductPomdp(model, dfa, pairs, P, Z, varpi, rewards, r_final, name=name)
-    prod.validate()
+    prod.validate(atol=LOAD_ATOL)  # product rows are the base's rows
     return prod
 
 
@@ -137,13 +123,11 @@ def prune_unreachable(prod: ProductPomdp) -> ProductPomdp:
     keep = np.nonzero(reach)[0]
     if keep.size == X:
         return prod
-    new_index = -np.ones(X, dtype=np.int64)
-    new_index[keep] = np.arange(keep.size)
     P = prod.P[np.ix_(keep, np.arange(prod.n_actions), keep)]
     pruned = ProductPomdp(prod.base, prod.dfa, prod.pairs[keep], P,
                           prod.Z[keep], prod.varpi[keep], prod.rewards[keep],
                           prod.r_final[keep], name=prod.name)
-    pruned.validate()
+    pruned.validate(atol=LOAD_ATOL)
     return pruned
 
 
@@ -172,10 +156,7 @@ def automaton_state_after(prod_or_dfa, base_states, labels=None) -> int:
 # --------------------------------------------------------------------------
 
 def product_to_dict(prod: ProductPomdp) -> dict:
-    base_view = LabeledPomdp(prod.name, prod.states, prod.actions, prod.observations,
-                             prod.P, prod.Z, prod.varpi, prod.atoms,
-                             prod.base.labels[prod.pairs[:, 0]], prod.rewards, prod.stopping)
-    doc = model_to_dict(base_view)
+    doc = model_to_dict(prod)
     doc["final_reward"] = {prod.states[x]: int(prod.r_final[x]) for x in range(prod.n_states)}
     doc["provenance"] = {
         "model": prod.base.name,

@@ -62,6 +62,16 @@ def test_product_command(tmp_path, model_file, capsys):
     assert (out / "product.json").exists()
 
 
+def test_product_accepts_rows_within_the_load_tolerance(tmp_path, model_file):
+    doc = json.loads(Path(model_file).read_text())
+    row = next(r for r in doc["transitions"] if (r["state"], r["action"]) == ("home", "stay"))
+    row["next"] = {"home": "0.6666666", "goal": "0.3333333"}  # sums to 1 - 1e-7
+    path = tmp_path / "rounded.json"
+    path.write_text(json.dumps(doc))
+    assert run("product", "--model", str(path), "--spec", "F g",
+               "--out", str(tmp_path / "p"), "--quiet") == 0
+
+
 def test_solve_validation_errors(tmp_path, model_file):
     base = ["solve", "--model", model_file, "--spec", "F g", "--threshold", "0.75",
             "--B", "4", "--simu", "5", "--out", str(tmp_path / "s")]

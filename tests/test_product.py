@@ -4,9 +4,12 @@ import pytest
 from ltlfplan.benchmarks import make_model
 from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import TRUE, Word, evaluate_trace, parse_formula
-from ltlfplan.pomdp import ModelError, RandomPolicy, StoppingModel, derive_seed, sample_trajectory
+from ltlfplan.pomdp import (
+    LabeledPomdp, ModelError, RandomPolicy, StoppingModel, derive_seed, model_to_dict,
+    sample_trajectory,
+)
 from ltlfplan.product import (
-    automaton_state_after, build_product, load_product, product_from_dict,
+    automaton_state_after, build_product, constrained_product, load_product, product_from_dict,
     product_to_dict, prune_unreachable, save_product,
 )
 
@@ -18,6 +21,28 @@ def m1_product():
     model = make_model("M1")
     dfa = compile_minimal_dfa(parse_formula("F a & G !b"), atoms=model.atoms, name="phi1")
     return model, dfa, build_product(model, dfa)
+
+
+def test_product_is_a_labeled_pomdp(m1_product):
+    model, _, prod = m1_product
+    assert isinstance(prod, LabeledPomdp)
+    assert np.array_equal(prod.labels, model.labels[prod.pairs[:, 0]])
+    doc = product_to_dict(prod)
+    assert {k: v for k, v in doc.items() if k not in ("final_reward", "provenance")} \
+        == model_to_dict(prod)
+
+
+def test_constrained_product_is_the_hand_pipeline():
+    model = make_model("M7")
+    text = "F a & G ((a & X b -> F c) & (a & X !b -> F d))"
+    dfa = compile_minimal_dfa(parse_formula(text, atoms=model.atoms), atoms=model.atoms,
+                              name=text)
+    want = prune_unreachable(build_product(model, dfa))
+    got = constrained_product(model, text)
+    assert got.n_states < model.n_states * dfa.n_states  # pruning removed states
+    assert got.equals(want)
+    assert np.array_equal(got.pairs, want.pairs)
+    assert np.array_equal(got.r_final, want.r_final)
 
 
 def test_product_size_and_transition_rule():
