@@ -82,6 +82,7 @@ class AlphaPolicy:
                 raise ValueError("alpha vector length does not match state count")
             if not np.all(np.isfinite(mat)):
                 raise ValueError("alpha vector has non-finite entries")
+        self._act_lists = [acts.tolist() for acts in self._acts]
 
     def _stage(self, t: int) -> int:
         if self.kind == "stationary":
@@ -95,7 +96,7 @@ class AlphaPolicy:
         belief = np.asarray(belief)
         if belief.shape != (self.n_states,):
             raise ValueError(f"belief length {belief.shape} does not match {self.n_states} states")
-        return int(self._acts[g][int(np.argmax(self._mats[g] @ belief))])
+        return self._act_lists[g][(self._mats[g] @ belief).argmax()]
 
     def value_at(self, belief, t: int = 0) -> float:
         g = self._stage(t)
@@ -133,7 +134,11 @@ def expand_beliefs_random_walk(prod, cfg: SolverConfig, gamma: float | None) -> 
     """Seeded random walk through belief space from the initial posteriors.
 
     Restarts mimic episode ends (probability 1-gamma per step under geometric
-    stopping).  Stops early if the walk stops discovering new beliefs.
+    stopping).  A step's belief is admitted unless it lies within BELIEF_GAP
+    (L1) of one already held.  The walk stops once cfg.n_beliefs are held or
+    after 200 * cfg.n_beliefs steps, whichever comes first; it does not stop
+    when it finds nothing new, so a model with fewer reachable beliefs than
+    n_beliefs always walks the full 200 * n_beliefs steps.
     """
     rng = make_rng(derive_seed(cfg.expansion_seed, 0xB))
     seeds = [b for _, _, b in initial_beliefs(prod)]

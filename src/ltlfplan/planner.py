@@ -97,6 +97,8 @@ class IterationRecord:
     lam: float
     p_hat: float
     r_hat: float
+    p_se: float                 # standard errors of p_hat and r_hat
+    r_se: float
     converged: bool
 
 
@@ -319,7 +321,8 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None,
         tic = time.perf_counter()
         est = mc_evaluate(policy, prod, problem.simu, derive_seed(problem.base_seed, k))
         t_simu += time.perf_counter() - tic
-        records.append(IterationRecord(k, lam, est.p_hat, est.r_hat, policy.converged))
+        records.append(IterationRecord(k, lam, est.p_hat, est.r_hat, est.p_se, est.r_se,
+                                       policy.converged))
         policies.append(policy)
         if stopping.kind == "geometric":
             warm = (np.vstack([a.values for a in policy.alphas]),
@@ -372,7 +375,8 @@ def theorem2_report(result: EGResult, B: float | None = None, K: int | None = No
         "r_m_estimate_lower_bound": result.r_m_estimate,
         "eps_f_surrogate": result.eps_f,
         "trace": [{"k": rec.k, "lambda": rec.lam, "r_hat": rec.r_hat, "p_hat": rec.p_hat,
-                   "converged": rec.converged} for rec in result.records],
+                   "r_se": rec.r_se, "p_se": rec.p_se, "converged": rec.converged}
+                  for rec in result.records],
     }
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,6 +130,11 @@ class LabeledPomdp:
         if np.any(self.labels < 0) or np.any(self.labels >= limit):
             raise ModelError("label bitmask out of range for atom set")
 
+    @cached_property
+    def sampling(self) -> "SamplingTables":
+        """Lookup tables of the simulator and the Bayes step, built on first use."""
+        return SamplingTables(self)
+
     def label_sets(self) -> list[frozenset]:
         return [frozenset(a for i, a in enumerate(self.atoms) if m >> i & 1)
                 for m in self.labels.tolist()]
@@ -148,8 +155,8 @@ class LabeledPomdp:
 
 def condition(model, predicted: np.ndarray, o: int) -> np.ndarray:
     """Bayes step: the posterior ~ predicted * Z(.;o) after observing o."""
-    post = predicted * model.Z[:, o]
-    total = post.sum()
+    post = predicted * model.sampling.z_by_obs[o]
+    total = np.add.reduce(post)
     if total <= 0.0:
         raise ImpossibleObservationError(f"observation {o} has zero probability")
     return post / total
@@ -162,7 +169,7 @@ def belief_init(model, o0: int) -> np.ndarray:
 
 def belief_update(model, belief: np.ndarray, action: int, obs: int) -> np.ndarray:
     """Bayes filter step: b'(s') ~ Z(s';o) * sum_s P(s,a;s') b(s)."""
-    return condition(model, belief @ model.P[:, action, :], obs)
+    return condition(model, belief @ model.sampling.p_by_action[action], obs)
 
 
 def initial_beliefs(model) -> list[tuple[float, int, np.ndarray]]:
@@ -233,11 +240,61 @@ def derive_seed(*parts: int) -> int:
     return int.from_bytes(digest.digest(), "little")
 
 
+def _inverse_cdfs(rows: np.ndarray) -> list[tuple[float, list[float], list[int]]]:
+    """Compact inverse CDFs of the nonnegative rows of a 2-d array.
+
+    Each row p becomes (total, cum, picks): total = cumsum(p)[-1], cum lists
+    the cumsum values at the indices where the cumsum rises, picks lists those
+    indices followed by the clamp len(p)-1.  Only a rising index can be the
+    first with cumsum > v, so ``_pick`` equals
+    min(searchsorted(cumsum(p), v, "right"), len(p)-1) for every v >= 0.
+    """
+    cum = np.cumsum(rows, axis=-1)
+    below = np.zeros_like(cum)
+    below[:, 1:] = cum[:, :-1]
+    rises = cum > below
+    last = [rows.shape[-1] - 1]
+    return [(total, c[r].tolist(), np.flatnonzero(r).tolist() + last)
+            for total, c, r in zip(cum[:, -1].tolist(), cum, rises)]
+
+
+def _pick(table: tuple[float, list[float], list[int]], u: float) -> int:
+    """Inverse-CDF draw for a uniform u in [0, 1): the one categorical rule."""
+    total, cum, picks = table
+    return picks[bisect_right(cum, u * total)]
+
+
 def _categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
-    # robust to rows that sum to 1 only within the load tolerance
-    cumulative = np.cumsum(probs)
-    u = rng.random() * cumulative[-1]
-    return int(min(np.searchsorted(cumulative, u, side="right"), len(probs) - 1))
+    """One draw from an uncached row; its full cumsum is a valid (uncompacted)
+    ``_pick`` table.  Robust to rows that sum to 1 only within the load tolerance."""
+    cum = np.cumsum(probs).tolist()
+    n = len(cum)
+    return _pick((cum[-1], cum, [*range(n), n - 1]), rng.random())
+
+
+class SamplingTables:
+    """A model's simulator tables: the compact inverse CDFs (``_inverse_cdfs``)
+    of varpi and of every Z[s] and P[s, a] row, contiguous P[:, a, :] and
+    Z[:, o] copies for the Bayes step, and the rewards as nested lists."""
+
+    def __init__(self, model: LabeledPomdp):
+        self.initial = _inverse_cdfs(model.varpi[None, :])[0]
+        self.observe = _inverse_cdfs(model.Z)
+        S, A = model.n_states, model.n_actions
+        flat = _inverse_cdfs(model.P.reshape(S * A, S))
+        self.transition = [flat[s * A:(s + 1) * A] for s in range(S)]
+        self.p_by_action = [np.ascontiguousarray(model.P[:, a, :]) for a in range(A)]
+        self.z_by_obs = [np.ascontiguousarray(model.Z[:, o]) for o in range(model.n_observations)]
+        self.rewards = model.rewards.tolist()
+
+
+_CHUNK = 64
+
+
+def _uniforms(rng: np.random.Generator):
+    """The stream of rng.random() values, drawn in chunks (same doubles)."""
+    while True:
+        yield from rng.random(_CHUNK).tolist()
 
 
 def sample_trajectory(model, policy, seed: int) -> Trajectory:
@@ -247,34 +304,36 @@ def sample_trajectory(model, policy, seed: int) -> Trajectory:
     only), action, then the transition and observation draws.  The run always
     includes (s_T, a_T); under geometric stopping T is the first t whose
     Bernoulli(1-gamma) flag fires, so a run may consist of a single step.
+    All draws are uniforms of the run's own Philox stream, read in chunks,
+    which yields the same doubles as one rng.random() call per draw.
     """
-    rng = make_rng(seed)
+    tables = model.sampling
+    draw = _uniforms(make_rng(seed)).__next__
+    observe, transition, step_reward = tables.observe, tables.transition, tables.rewards
     stopping = model.stopping
+    geometric = stopping.kind == "geometric"
+    stop_prob = 1.0 - stopping.gamma if geometric else None
     track_belief = getattr(policy, "needs_belief", True)
 
-    s = _categorical(rng, model.varpi)
-    o = _categorical(rng, model.Z[s])
+    s = _pick(tables.initial, draw())
+    o = _pick(observe[s], draw())
     belief = belief_init(model, o) if track_belief else None
 
     states, actions, observations, rewards = [], [], [], []
     t = 0
     while True:
-        if stopping.kind == "geometric":
-            stop = rng.random() < (1.0 - stopping.gamma)
-        else:
-            stop = t == stopping.T
+        stop = draw() < stop_prob if geometric else t == stopping.T
         a = int(policy.action(belief, t))
         states.append(s)
         actions.append(a)
         observations.append(o)
-        rewards.append(model.rewards[s, a])
+        rewards.append(step_reward[s][a])
         if stop:
             break
-        s_next = _categorical(rng, model.P[s, a])
-        o_next = _categorical(rng, model.Z[s_next])
+        s = _pick(transition[s][a], draw())
+        o = _pick(observe[s], draw())
         if track_belief:
-            belief = belief_update(model, belief, a, o_next)
-        s, o = s_next, o_next
+            belief = belief_update(model, belief, a, o)
         t += 1
     return Trajectory(
         states=np.array(states, dtype=np.int64),

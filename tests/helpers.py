@@ -11,7 +11,9 @@ from ltlfplan.ltlf import (
     FALSE, TRUE, Always, And, Atom, Eventually, Implies, Next, Not, Or, Release,
     Until, WeakNext,
 )
-from ltlfplan.pomdp import LabeledPomdp, StoppingModel, make_rng
+from ltlfplan.pomdp import (
+    ImpossibleObservationError, LabeledPomdp, StoppingModel, Trajectory, make_rng,
+)
 
 _LEAVES = ("atom", "true", "false")
 _NODES = _LEAVES + ("not", "and", "or", "implies", "next", "wnext", "until",
@@ -150,3 +152,75 @@ def fully_observable(P, rewards, gamma=0.9, labels=None, atoms=("a",)):
                          StoppingModel.geometric(gamma))
     model.validate()
     return model
+
+
+# --------------------------------------------------------------------------
+# Reference simulator (the library's simulator must match it bit for bit)
+# --------------------------------------------------------------------------
+
+def reference_categorical(rng, probs):
+    """Categorical draw by a fresh cumsum and searchsorted per call."""
+    cumulative = np.cumsum(probs)
+    u = rng.random() * cumulative[-1]
+    return int(min(np.searchsorted(cumulative, u, side="right"), len(probs) - 1))
+
+
+def _reference_condition(model, predicted, o):
+    post = predicted * model.Z[:, o]
+    total = post.sum()
+    if total <= 0.0:
+        raise ImpossibleObservationError(f"observation {o} has zero probability")
+    return post / total
+
+
+class ReferenceAlphaAction:
+    """An AlphaPolicy's action by np.argmax over the stage's alpha matrix
+    (ties to the lowest vector index), without the policy's cached lists."""
+    needs_belief = True
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def action(self, belief, t):
+        g = self.policy._stage(t)
+        return int(self.policy._acts[g][int(np.argmax(self.policy._mats[g] @ belief))])
+
+
+def reference_sample_trajectory(model, policy, seed):
+    """One run with one scalar rng.random() per draw, in the simulator's
+    draw order: s0, o0, then per step the stop flag (geometric only), the
+    action, the transition and the observation."""
+    rng = make_rng(seed)
+    stopping = model.stopping
+    track_belief = getattr(policy, "needs_belief", True)
+
+    s = reference_categorical(rng, model.varpi)
+    o = reference_categorical(rng, model.Z[s])
+    belief = _reference_condition(model, model.varpi, o) if track_belief else None
+
+    states, actions, observations, rewards = [], [], [], []
+    t = 0
+    while True:
+        if stopping.kind == "geometric":
+            stop = rng.random() < (1.0 - stopping.gamma)
+        else:
+            stop = t == stopping.T
+        a = int(policy.action(belief, t))
+        states.append(s)
+        actions.append(a)
+        observations.append(o)
+        rewards.append(model.rewards[s, a])
+        if stop:
+            break
+        s_next = reference_categorical(rng, model.P[s, a])
+        o_next = reference_categorical(rng, model.Z[s_next])
+        if track_belief:
+            belief = _reference_condition(model, belief @ model.P[:, a, :], o_next)
+        s, o = s_next, o_next
+        t += 1
+    return Trajectory(
+        states=np.array(states, dtype=np.int64),
+        actions=np.array(actions, dtype=np.int64),
+        observations=np.array(observations, dtype=np.int64),
+        rewards=np.array(rewards, dtype=np.float64),
+    )

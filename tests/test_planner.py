@@ -327,6 +327,20 @@ def test_theorem2_report_contents(twostate_product):
     assert report["r_m_estimate_lower_bound"] >= 0.0
 
 
+def test_records_carry_the_iteration_standard_errors(twostate_product):
+    problem = ConstrainedProblem(twostate_product, threshold=0.6, B=4.0, K=3,
+                                 eta=1.0, simu=40, base_seed=5)
+    result = eg_solve(problem, SolverConfig(n_beliefs=8, max_backup_rounds=150))
+    report = theorem2_report(result)
+    for rec, policy, entry in zip(result.records, result.mixture.policies, report["trace"]):
+        est = mc_evaluate(policy, twostate_product, problem.simu,
+                          derive_seed(problem.base_seed, rec.k))
+        assert (rec.p_hat, rec.r_hat, rec.p_se, rec.r_se) == \
+            (est.p_hat, est.r_hat, est.p_se, est.r_se)
+        assert (entry["p_se"], entry["r_se"]) == (est.p_se, est.r_se)
+    assert any(rec.p_se > 0 or rec.r_se > 0 for rec in result.records)
+
+
 def test_lemma2_identity_statistical_small():
     # quick version of the scalarization identity on the bundled chain
     model, spec = chain3(0.9)
