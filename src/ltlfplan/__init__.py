@@ -28,8 +28,8 @@ from .product import (
     prune_unreachable, save_product,
 )
 from .pbvi import (
-    AlphaPolicy, AlphaVector, SolverConfig, exact_value_oracle, load_policy,
-    policy_action, save_policy, solve_discounted, solve_finite_horizon, start_value,
+    AlphaPolicy, SolverConfig, TimeIndexedPolicy, exact_value_oracle, load_policy,
+    save_policy, solve_discounted, solve_finite_horizon, start_value,
 )
 from .planner import (
     ConstrainedProblem, EGResult, MixedPolicy, auto_eta, eg_solve, eg_update_lambda,

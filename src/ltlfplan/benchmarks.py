@@ -317,8 +317,7 @@ def run_experiment(model_name: str, spec_name: str | None = None, *, K: int | No
         simu=preset.simu if simu is None else simu,
         base_seed=seed,
     )
-    cfg = cfg or SolverConfig(n_beliefs=100, max_backup_rounds=400, bellman_tolerance=1e-3,
-                              expansion_seed=seed)
+    cfg = cfg or SolverConfig(expansion_seed=seed)
     result = eg_solve(problem, cfg)
     tic = time.perf_counter()
     final = mc_evaluate(result.mixture, prod, eval_rollouts,

@@ -24,7 +24,7 @@ from .benchmarks import (
 )
 from .dfa import compile_minimal_dfa, dfa_to_dot, save_dfa
 from .ltlf import LtlfError, parse_formula
-from .pbvi import SolverConfig, load_policy, save_policy
+from .pbvi import SolverConfig, TimeIndexedPolicy, load_policy, policy_from_dict, save_policy
 from .planner import (
     ConstrainedProblem, MixedPolicy, eg_solve, export_trace_csv, mc_evaluate, rollout_policy,
     save_result,
@@ -173,16 +173,35 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _load_mixture(path: Path):
-    with open(path) as fh:
-        doc = json.load(fh)
+def _load_policy_for(path: Path, prod):
+    """The policy or mixture in a file, checked to run on the product: every
+    member acts on its states with its actions, and a time-indexed member
+    covers its whole horizon."""
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
         if "policies" in doc and "weights" in doc:
-            policies = [load_policy(path.parent / rel) for rel in doc["policies"]]
-            return MixedPolicy(policies, doc["weights"])
-        return load_policy(path)
+            policy = MixedPolicy([load_policy(path.parent / rel) for rel in doc["policies"]],
+                                 doc["weights"])
+        else:
+            policy = policy_from_dict(doc)
     except KeyError as exc:
         raise ValidationFailure(f"malformed policy file {path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationFailure(f"malformed policy file {path}: {exc}") from exc
+    stopping = prod.stopping
+    for member in policy.policies if isinstance(policy, MixedPolicy) else [policy]:
+        if member.n_states != prod.n_states:
+            raise ValidationFailure(f"policy is over {member.n_states} states, "
+                                    f"product has {prod.n_states}")
+        stages = member if isinstance(member, TimeIndexedPolicy) else [member]
+        if not all(0 <= a < prod.n_actions for stage in stages for a in stage.actions.tolist()):
+            raise ValidationFailure(f"policy uses an action outside 0..{prod.n_actions - 1}")
+        if isinstance(member, TimeIndexedPolicy) and \
+                not (stopping.kind == "fixed" and member.horizon >= stopping.T):
+            raise ValidationFailure(f"time-indexed policy of horizon {member.horizon} does not "
+                                    f"cover the product's stopping rule")
+    return policy
 
 
 def cmd_evaluate(args) -> int:
@@ -190,11 +209,7 @@ def cmd_evaluate(args) -> int:
     model = _resolve_model(args.model)
     text = _load_spec_text(args)
     prod = constrained_product(model, text)
-    policy = _load_mixture(Path(args.policy))
-    expected = prod.n_states
-    got = policy.policies[0].n_states if isinstance(policy, MixedPolicy) else policy.n_states
-    if got != expected:
-        raise ValidationFailure(f"policy is over {got} states, product has {expected}")
+    policy = _load_policy_for(Path(args.policy), prod)
     est = mc_evaluate(policy, prod, args.rollouts, args.seed)
     report = {"r_hat": est.r_hat, "p_hat": est.p_hat, "r_se": est.r_se, "p_se": est.p_se,
               "rollouts": est.n}
@@ -252,7 +267,7 @@ def cmd_trace(args) -> int:
     model = _resolve_model(args.model)
     text = _load_spec_text(args)
     prod = constrained_product(model, text)
-    policy = _load_mixture(Path(args.policy))
+    policy = _load_policy_for(Path(args.policy), prod)
     # replay rollout 0 of `evaluate --seed` with the same policy file
     traj = prod.simulate(rollout_policy(policy, args.seed, 0), derive_seed(args.seed, 0))
     out = _out_dir(args)
@@ -285,9 +300,9 @@ def _add_spec(p):
 
 
 def _add_solver_knobs(p):
-    p.add_argument("--n-beliefs", type=int, default=100)
-    p.add_argument("--max-rounds", type=int, default=400)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--n-beliefs", type=int, default=SolverConfig.n_beliefs)
+    p.add_argument("--max-rounds", type=int, default=SolverConfig.max_backup_rounds)
+    p.add_argument("--tol", type=float, default=SolverConfig.bellman_tolerance)
 
 
 def build_parser() -> argparse.ArgumentParser:

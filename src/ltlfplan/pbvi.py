@@ -28,15 +28,9 @@ BELIEF_GAP = 1e-2  # L1 distance below which a sampled belief is not admitted
 
 
 @dataclass
-class AlphaVector:
-    action: int
-    values: np.ndarray
-
-
-@dataclass
 class SolverConfig:
-    n_beliefs: int = 80
-    max_backup_rounds: int = 500
+    n_beliefs: int = 100
+    max_backup_rounds: int = 400
     bellman_tolerance: float = 1e-3
     expansion_seed: int = 0
     exhaustive: bool = False        # finite horizon: enumerate all reachable beliefs
@@ -49,65 +43,73 @@ class SolverConfig:
 
 
 class AlphaPolicy:
-    """Alpha-vector policy; stationary (discounted) or time-indexed (fixed T).
+    """Stationary alpha-vector policy: the solver's own (n, X) vector matrix
+    and (n,) action array.
 
-    Action selection is the argmax of alpha . belief over the relevant set,
-    ties broken by lowest vector index.
+    The action at belief b is actions[argmax(alphas @ b)], ties broken by
+    lowest vector index.  The time argument is accepted and ignored, so the
+    policy runs under either stopping rule.
     """
 
+    kind = "stationary"
     needs_belief = True
 
-    def __init__(self, kind: str, alphas, n_states: int, gamma: float | None = None,
-                 horizon: int | None = None, converged: bool = True, stats: dict | None = None):
-        if kind not in ("stationary", "time_indexed"):
-            raise ValueError(f"unknown policy kind {kind!r}")
-        self.kind = kind
-        self.n_states = int(n_states)
+    def __init__(self, alphas, actions, gamma: float | None = None, converged: bool = True,
+                 stats: dict | None = None):
+        self.alphas = np.asarray(alphas, dtype=np.float64)
+        self.actions = np.asarray(actions, dtype=np.int64)
+        if self.alphas.ndim != 2 or len(self.alphas) == 0:
+            raise ValueError(f"need a nonempty (n, X) alpha matrix, got shape {self.alphas.shape}")
+        if self.actions.shape != (len(self.alphas),):
+            raise ValueError(f"{self.actions.shape} actions for {len(self.alphas)} alpha vectors")
+        if not np.all(np.isfinite(self.alphas)):
+            raise ValueError("alpha vector has non-finite entries")
+        self.n_states = self.alphas.shape[1]
         self.gamma = gamma
-        self.horizon = horizon
         self.converged = bool(converged)
         self.stats = stats or {}
-        if kind == "stationary":
-            self.alphas = list(alphas)
-            self._mats = [np.vstack([a.values for a in self.alphas])]
-            self._acts = [np.array([a.action for a in self.alphas], dtype=np.int64)]
-        else:
-            self.alphas = [list(stage) for stage in alphas]
-            if horizon is None or len(self.alphas) != horizon + 1:
-                raise ValueError("time-indexed policy needs one alpha set per stage 0..T")
-            self._mats = [np.vstack([a.values for a in stage]) for stage in self.alphas]
-            self._acts = [np.array([a.action for a in stage], dtype=np.int64) for stage in self.alphas]
-        for mat in self._mats:
-            if mat.shape[1] != self.n_states:
-                raise ValueError("alpha vector length does not match state count")
-            if not np.all(np.isfinite(mat)):
-                raise ValueError("alpha vector has non-finite entries")
-        self._act_lists = [acts.tolist() for acts in self._acts]
-
-    def _stage(self, t: int) -> int:
-        if self.kind == "stationary":
-            return 0
-        if not 0 <= t <= self.horizon:
-            raise IndexError(f"time {t} outside horizon 0..{self.horizon}")
-        return t
 
     def action(self, belief, t: int = 0) -> int:
-        g = self._stage(t)
         belief = np.asarray(belief)
         if belief.shape != (self.n_states,):
             raise ValueError(f"belief length {belief.shape} does not match {self.n_states} states")
-        return self._act_lists[g][(self._mats[g] @ belief).argmax()]
+        return self.actions.item((self.alphas @ belief).argmax())
 
     def value_at(self, belief, t: int = 0) -> float:
-        g = self._stage(t)
-        return float(np.max(self._mats[g] @ np.asarray(belief)))
+        return float(np.max(self.alphas @ np.asarray(belief)))
 
 
-def policy_action(policy: AlphaPolicy, belief, t: int = 0) -> int:
-    return policy.action(belief, t)
+class TimeIndexedPolicy(list):
+    """Finite-horizon policy: the list of its stages' AlphaPolicy, stage t
+    acting at time t = 0..horizon."""
+
+    kind = "time_indexed"
+    needs_belief = True
+
+    def __init__(self, stages, converged: bool = True):
+        super().__init__(stages)
+        if not self:
+            raise ValueError("time-indexed policy needs at least one stage")
+        if len({stage.n_states for stage in self}) != 1:
+            raise ValueError("stages of a time-indexed policy differ in state count")
+        self.converged = bool(converged)
+
+    @property
+    def horizon(self) -> int:
+        return len(self) - 1
+
+    @property
+    def n_states(self) -> int:
+        return self[0].n_states
+
+    def action(self, belief, t: int = 0) -> int:
+        return self[t].action(belief)  # IndexError past the horizon
+
+    def value_at(self, belief, t: int = 0) -> float:
+        return self[t].value_at(belief)
 
 
-def start_value(policy: AlphaPolicy, prod) -> float:
+def start_value(policy, prod) -> float:
     """Expected value before the time-0 observation: E_o0[ V(b0(o0)) ]."""
     return sum(p * policy.value_at(b, 0) for p, _, b in initial_beliefs(prod))
 
@@ -276,7 +278,6 @@ def solve_discounted(prod, reward, gamma: float, cfg: SolverConfig,
         acts = np.concatenate([acts, np.asarray(warm_start[1], dtype=np.int64)])
     mat, acts, point_values = _winners(beliefs, mat, acts)
     tables = _backup_tables(prod)
-    history = [point_values]
     converged = False
     rounds = 0
     for rounds in range(1, cfg.max_backup_rounds + 1):
@@ -285,24 +286,19 @@ def solve_discounted(prod, reward, gamma: float, cfg: SolverConfig,
                                          np.concatenate([acts, new_acts]))
         delta = float(np.max(new_values - point_values))
         point_values = new_values
-        history.append(point_values)
         if delta < cfg.bellman_tolerance:
             converged = True
             break
-    alphas = [AlphaVector(int(a), v) for a, v in zip(acts, mat)]
-    policy = AlphaPolicy("stationary", alphas, prod.n_states, gamma=gamma, converged=converged,
-                         stats={"rounds": rounds, "beliefs": beliefs,
-                                "point_value_history": history})
-    policy.stats["start_value"] = start_value(policy, prod)
-    return policy
+    return AlphaPolicy(mat, acts, gamma=gamma, converged=converged,
+                       stats={"rounds": rounds, "beliefs": beliefs})
 
 
 def solve_finite_horizon(prod, reward, T: int, cfg: SolverConfig,
-                         terminal: np.ndarray | None = None) -> AlphaPolicy:
+                         terminal: np.ndarray | None = None) -> TimeIndexedPolicy:
     """Backward induction with point-based per-stage belief sets.
 
     Stage-T vectors are reward(.,a) plus the expected terminal channel; the
-    returned policy is time-indexed over t = 0..T.
+    returned policy holds one stage per t = 0..T.
     """
     if T < 0:
         raise ValueError("horizon must be >= 0")
@@ -313,20 +309,15 @@ def solve_finite_horizon(prod, reward, T: int, cfg: SolverConfig,
     terminal = np.zeros(X) if terminal is None else np.asarray(terminal, dtype=np.float64)
     stages = expand_stage_beliefs(prod, T, cfg)
 
-    last_mat = np.stack([reward[:, a] + prod.P[:, a, :] @ terminal for a in range(A)])
-    last_acts = np.arange(A, dtype=np.int64)
-    mats = [None] * (T + 1)
-    acts = [None] * (T + 1)
-    mats[T], acts[T] = last_mat, last_acts
+    policy = [None] * (T + 1)
+    policy[T] = AlphaPolicy(np.stack([reward[:, a] + prod.P[:, a, :] @ terminal for a in range(A)]),
+                            np.arange(A))
     tables = _backup_tables(prod)
     for t in range(T - 1, -1, -1):
-        new_mat, new_acts, _ = _point_backup(tables, reward, 1.0, stages[t], mats[t + 1])
-        mats[t], acts[t], _ = _winners(stages[t], new_mat, new_acts)
-    alphas = [[AlphaVector(int(a), v) for a, v in zip(acts[t], mats[t])] for t in range(T + 1)]
-    policy = AlphaPolicy("time_indexed", alphas, X, horizon=T, converged=True,
-                         stats={"stage_beliefs": stages})
-    policy.stats["start_value"] = start_value(policy, prod)
-    return policy
+        new_mat, new_acts, _ = _point_backup(tables, reward, 1.0, stages[t], policy[t + 1].alphas)
+        mat, acts, _ = _winners(stages[t], new_mat, new_acts)
+        policy[t] = AlphaPolicy(mat, acts)
+    return TimeIndexedPolicy(policy)
 
 
 def exact_value_oracle(prod, reward, T: int, terminal: np.ndarray | None = None,
@@ -364,36 +355,50 @@ def exact_value_oracle(prod, reward, T: int, terminal: np.ndarray | None = None,
 # Policy files
 # --------------------------------------------------------------------------
 
-def policy_to_dict(policy: AlphaPolicy) -> dict:
+def _vectors_to_list(policy: AlphaPolicy) -> list:
+    return [{"action": int(a), "values": v.tolist()} for a, v in zip(policy.actions, policy.alphas)]
+
+
+def _vectors_from_list(vectors: list, **kwargs) -> AlphaPolicy:
+    return AlphaPolicy(np.array([v["values"] for v in vectors], dtype=np.float64),
+                       [int(v["action"]) for v in vectors], **kwargs)
+
+
+def policy_to_dict(policy) -> dict:
     doc = {"kind": policy.kind, "n_states": policy.n_states, "converged": policy.converged}
     if policy.kind == "stationary":
         doc["gamma"] = policy.gamma
-        doc["alphas"] = [{"action": a.action, "values": a.values.tolist()} for a in policy.alphas]
+        doc["alphas"] = _vectors_to_list(policy)
     else:
         doc["horizon"] = policy.horizon
-        doc["alphas"] = [[{"action": a.action, "values": a.values.tolist()} for a in stage]
-                         for stage in policy.alphas]
+        doc["alphas"] = [_vectors_to_list(stage) for stage in policy]
     return doc
 
 
-def policy_from_dict(doc: dict) -> AlphaPolicy:
+def policy_from_dict(doc: dict):
+    """The policy a policy file holds; ValueError when the file is inconsistent."""
     kind = doc["kind"]
+    converged = doc.get("converged", True)
     if kind == "stationary":
-        alphas = [AlphaVector(int(a["action"]), np.array(a["values"])) for a in doc["alphas"]]
-        return AlphaPolicy(kind, alphas, doc["n_states"], gamma=doc.get("gamma"),
-                           converged=doc.get("converged", True))
-    alphas = [[AlphaVector(int(a["action"]), np.array(a["values"])) for a in stage]
-              for stage in doc["alphas"]]
-    return AlphaPolicy(kind, alphas, doc["n_states"], horizon=doc.get("horizon"),
-                       converged=doc.get("converged", True))
+        policy = _vectors_from_list(doc["alphas"], gamma=doc.get("gamma"), converged=converged)
+    elif kind == "time_indexed":
+        policy = TimeIndexedPolicy([_vectors_from_list(stage) for stage in doc["alphas"]],
+                                   converged=converged)
+        if doc.get("horizon") != policy.horizon:
+            raise ValueError(f"horizon {doc.get('horizon')!r} but {len(policy)} stages")
+    else:
+        raise ValueError(f"unknown policy kind {kind!r}")
+    if doc["n_states"] != policy.n_states:
+        raise ValueError(f"n_states {doc['n_states']!r} but alpha vectors of length {policy.n_states}")
+    return policy
 
 
-def save_policy(policy: AlphaPolicy, path) -> None:
+def save_policy(policy, path) -> None:
     with open(path, "w") as fh:
         json.dump(policy_to_dict(policy), fh)
         fh.write("\n")
 
 
-def load_policy(path) -> AlphaPolicy:
+def load_policy(path):
     with open(path) as fh:
         return policy_from_dict(json.load(fh))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pbvi import AlphaPolicy, SolverConfig, solve_discounted, solve_finite_horizon, start_value
+from .pbvi import SolverConfig, solve_discounted, solve_finite_horizon, start_value
 from .pomdp import _categorical, derive_seed, make_rng
 from .product import ProductPomdp
 
@@ -83,12 +83,6 @@ class MixedPolicy:
             raise ValueError("weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {self.weights.sum()!r}, expected 1")
-
-    def __len__(self):
-        return len(self.policies)
-
-    def support(self):
-        return [(w, p) for w, p in zip(self.weights, self.policies) if w > 0]
 
 
 @dataclass
@@ -294,8 +288,8 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None,
     stopping = prod.stopping
     lam = B / 2.0
     records: list[IterationRecord] = []
-    policies: list[AlphaPolicy] = []
-    warm = None
+    policies = []
+    prev = None  # the previous iteration's policy, warm-starting discounted solves
     prev_lam = None
     t_solve = 0.0
     t_simu = 0.0
@@ -310,9 +304,9 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None,
     for k in range(1, K + 1):
         if not 0.0 < lam < B:
             raise RuntimeError(f"multiplier left (0, B): {lam}")
-        if warm is not None and stopping.kind == "geometric":
+        if prev is not None and stopping.kind == "geometric":
             shift = abs(lam - prev_lam) / stopping.gamma
-            warm_start = (warm[0] - shift, warm[1])
+            warm_start = (prev.alphas - shift, prev.actions)
         else:
             warm_start = None
         tic = time.perf_counter()
@@ -324,10 +318,7 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None,
         records.append(IterationRecord(k, lam, est.p_hat, est.r_hat, est.p_se, est.r_se,
                                        policy.converged))
         policies.append(policy)
-        if stopping.kind == "geometric":
-            warm = (np.vstack([a.values for a in policy.alphas]),
-                    np.array([a.action for a in policy.alphas], dtype=np.int64))
-        prev_lam = lam
+        prev, prev_lam = policy, lam
         lam = eg_update_lambda(lam, est.p_hat, eta, B, delta)
 
     mixture = MixedPolicy(policies, np.full(K, 1.0 / K))
@@ -358,15 +349,24 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None,
                     timings={"t_solve_s": t_solve, "t_simu_s": t_simu})
 
 
-def theorem2_report(result: EGResult, B: float | None = None, K: int | None = None) -> dict:
+TRACE_COLUMNS = ("k", "lambda", "r_hat", "p_hat", "r_se", "p_se", "converged")
+
+
+def trace_rows(result: EGResult) -> list[dict]:
+    """One row per iteration, keyed by TRACE_COLUMNS: the records of
+    result.json's trace and the rows of trace.csv."""
+    return [dict(zip(TRACE_COLUMNS, (rec.k, rec.lam, rec.r_hat, rec.p_hat, rec.r_se, rec.p_se,
+                                     rec.converged)))
+            for rec in result.records]
+
+
+def theorem2_report(result: EGResult) -> dict:
     """Bound value, achieved estimates, the eps_f surrogate, and the
     per-iteration trace behind the multiplier/reward/satisfaction plot."""
-    B = result.B if B is None else B
-    K = result.K if K is None else K
     return {
-        "bound": regret_bound(K, B),
-        "B": B,
-        "K": K,
+        "bound": result.bound,
+        "B": result.B,
+        "K": result.K,
         "eta": result.eta,
         "lam_bar": result.lam_bar,
         "r_hat_mixture": result.mean_r_hat(),
@@ -374,9 +374,7 @@ def theorem2_report(result: EGResult, B: float | None = None, K: int | None = No
         "threshold": result.threshold,
         "r_m_estimate_lower_bound": result.r_m_estimate,
         "eps_f_surrogate": result.eps_f,
-        "trace": [{"k": rec.k, "lambda": rec.lam, "r_hat": rec.r_hat, "p_hat": rec.p_hat,
-                   "r_se": rec.r_se, "p_se": rec.p_se, "converged": rec.converged}
-                  for rec in result.records],
+        "trace": trace_rows(result),
     }
 
 
@@ -386,10 +384,9 @@ def theorem2_report(result: EGResult, B: float | None = None, K: int | None = No
 
 def export_trace_csv(result: EGResult, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "lambda", "r_hat", "p_hat"])
-        for rec in result.records:
-            writer.writerow([rec.k, repr(rec.lam), repr(rec.r_hat), repr(rec.p_hat)])
+        writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
+        writer.writeheader()
+        writer.writerows(trace_rows(result))
 
 
 def result_to_dict(result: EGResult) -> dict:

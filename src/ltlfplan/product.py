@@ -46,9 +46,6 @@ class ProductPomdp(LabeledPomdp):
     def base_state(self, x: int) -> int:
         return int(self.pairs[x, 0])
 
-    def dfa_state(self, x: int) -> int:
-        return int(self.pairs[x, 1])
-
     def final_automaton_state(self, traj: Trajectory) -> int:
         """Q_{T+1} for a trajectory simulated on this product: the automaton
         component after consuming the label of the last visited state."""

@@ -174,16 +174,17 @@ def _reference_condition(model, predicted, o):
 
 
 class ReferenceAlphaAction:
-    """An AlphaPolicy's action by np.argmax over the stage's alpha matrix
-    (ties to the lowest vector index), without the policy's cached lists."""
+    """An alpha policy's action by np.argmax over the public alpha matrix of
+    the stage acting at t (ties to the lowest vector index), without the
+    policy's own action method."""
     needs_belief = True
 
     def __init__(self, policy):
         self.policy = policy
 
     def action(self, belief, t):
-        g = self.policy._stage(t)
-        return int(self.policy._acts[g][int(np.argmax(self.policy._mats[g] @ belief))])
+        stage = self.policy[t] if self.policy.kind == "time_indexed" else self.policy
+        return int(stage.actions[int(np.argmax(stage.alphas @ belief))])
 
 
 def reference_sample_trajectory(model, policy, seed):

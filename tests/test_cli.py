@@ -8,7 +8,7 @@ import pytest
 import ltlfplan.cli
 from ltlfplan.benchmarks import trajectory_table, twostate_constrained
 from ltlfplan.cli import main
-from ltlfplan.pbvi import AlphaPolicy, AlphaVector, load_policy, save_policy
+from ltlfplan.pbvi import AlphaPolicy, load_policy, save_policy
 from ltlfplan.planner import auto_eta
 from ltlfplan.pomdp import save_model
 from ltlfplan.product import ProductPomdp
@@ -92,8 +92,12 @@ def test_solve_writes_artifacts_and_manifest(tmp_path, model_file):
     assert len(mixture["policies"]) == 3
     assert (out / mixture["policies"][0]).exists()
     trace = (out / "trace.csv").read_text().splitlines()
-    assert trace[0] == "k,lambda,r_hat,p_hat"
+    assert trace[0] == "k,lambda,r_hat,p_hat,r_se,p_se,converged"
     assert len(trace) == 4
+    result = json.loads((out / "result.json").read_text())
+    with open(out / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows == [{k: str(v) for k, v in rec.items()} for rec in result["trace"]]
 
 
 def test_solve_manifest_records_auto_eta(tmp_path, model_file):
@@ -149,7 +153,7 @@ def test_trace_replays_rollout_zero_of_evaluate(tmp_path, model_file, monkeypatc
     # column shows which policy the selection draw picked
     n = load_policy(out / "policies" / "policy_0001.json").n_states
     for a in (0, 1):
-        save_policy(AlphaPolicy("stationary", [AlphaVector(a, np.zeros(n))], n, gamma=0.9),
+        save_policy(AlphaPolicy(np.zeros((1, n)), [a], gamma=0.9),
                     out / f"always_{a}.json")
     (out / "mixture.json").write_text(json.dumps(
         {"weights": [0.5, 0.5], "policies": ["always_0.json", "always_1.json"]}))
@@ -227,6 +231,49 @@ def test_malformed_input_files_are_validation_errors(tmp_path, model_file):
     bad_policy.write_text(json.dumps({"n_states": 4, "alphas": []}))
     assert run("evaluate", "--model", model_file, "--spec", "F g",
                "--policy", str(bad_policy), "--rollouts", "1") == 3
+
+
+def _vectors(n, actions=(0, 1)):
+    return [{"action": a, "values": [float(a)] * n} for a in actions]
+
+
+# each writes a policy file that cannot run on the 4-state, 2-action "F g"
+# product of the two-state model; n is the product's state count
+MALFORMED_POLICIES = {
+    "short_vector": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9,
+                               "alphas": _vectors(n) + [{"action": 0, "values": [0.0] * (n - 1)}]},
+    "nan_entry": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9,
+                            "alphas": _vectors(n) + [{"action": 0, "values": [float("nan")] * n}]},
+    "unknown_kind": lambda n: {"kind": "tabular", "n_states": n, "alphas": _vectors(n)},
+    "empty_alphas": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9, "alphas": []},
+    "action_out_of_range": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9,
+                                      "alphas": _vectors(n, (0, 2))},
+    "wrong_state_count": lambda n: {"kind": "stationary", "n_states": n + 1, "gamma": 0.9,
+                                    "alphas": _vectors(n + 1)},
+    "time_indexed_on_geometric": lambda n: {"kind": "time_indexed", "n_states": n, "horizon": 1,
+                                            "alphas": [_vectors(n), _vectors(n)]},
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "trace"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_POLICIES) + ["weights_sum_1.1",
+                                                              "second_member_wrong_states"])
+def test_malformed_policy_files_exit_3(tmp_path, model_file, command, case):
+    n = 4
+    good = {"kind": "stationary", "n_states": n, "gamma": 0.9, "alphas": _vectors(n)}
+    (tmp_path / "good.json").write_text(json.dumps(good))
+    if case == "weights_sum_1.1":
+        doc = {"weights": [0.6, 0.5], "policies": ["good.json", "good.json"]}
+    elif case == "second_member_wrong_states":
+        (tmp_path / "bad.json").write_text(json.dumps(MALFORMED_POLICIES["wrong_state_count"](n)))
+        doc = {"weights": [0.5, 0.5], "policies": ["good.json", "bad.json"]}
+    else:
+        doc = MALFORMED_POLICIES[case](n)
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(doc))
+    args = ["--model", model_file, "--spec", "F g", "--policy", str(path), "--quiet"]
+    args += ["--rollouts", "20"] if command == "evaluate" else ["--out", str(tmp_path / "t")]
+    assert run(command, *args) == 3
 
 
 def test_missing_model_file(tmp_path):

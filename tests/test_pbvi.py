@@ -1,3 +1,5 @@
+import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,8 +8,8 @@ import pytest
 from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import TRUE, parse_formula
 from ltlfplan.pbvi import (
-    AlphaPolicy, AlphaVector, SolverConfig, _backup_tables, _point_backup, exact_value_oracle,
-    load_policy, policy_action, policy_from_dict, policy_to_dict, save_policy,
+    AlphaPolicy, SolverConfig, TimeIndexedPolicy, _backup_tables, _point_backup,
+    exact_value_oracle, load_policy, policy_from_dict, policy_to_dict, save_policy,
     solve_discounted, solve_finite_horizon, start_value,
 )
 from ltlfplan.planner import scalarize
@@ -77,18 +79,26 @@ def test_solver_value_consistent_with_rollouts():
 
 
 def test_monotone_improvement_and_bounds():
+    """Point values at the belief set never fall as the round cap grows."""
     model = uninformative_two_state(stopping=StoppingModel.geometric(0.9))
     prod = trivial_product(model)
     cfg = SolverConfig(n_beliefs=24, max_backup_rounds=300, bellman_tolerance=1e-8)
     policy = solve_discounted(prod, prod.rewards, 0.9, cfg)
-    history = policy.stats["point_value_history"]
-    for older, newer in zip(history, history[1:]):
+    beliefs = policy.stats["beliefs"]
+    caps = range(1, min(policy.stats["rounds"], 30) + 1)
+    assert len(caps) > 1
+    values = []
+    for cap in caps:
+        capped = solve_discounted(prod, prod.rewards, 0.9, replace(cfg, max_backup_rounds=cap))
+        assert np.array_equal(capped.stats["beliefs"], beliefs)
+        values.append((beliefs @ capped.alphas.T).max(axis=1))
+    for older, newer in zip(values, values[1:]):
         assert np.all(newer >= older - 1e-12)
+    assert np.any(values[-1] > values[0])
     lo = prod.rewards.min() / (1 - 0.9)
     hi = prod.rewards.max() / (1 - 0.9)
-    for alpha in policy.alphas:
-        assert np.all(alpha.values >= lo - 1e-9)
-        assert np.all(alpha.values <= hi + 1e-9)
+    assert np.all(policy.alphas >= lo - 1e-9)
+    assert np.all(policy.alphas <= hi + 1e-9)
 
 
 def test_solver_deterministic():
@@ -97,10 +107,8 @@ def test_solver_deterministic():
     cfg = SolverConfig(n_beliefs=24, max_backup_rounds=120, expansion_seed=5)
     p1 = solve_discounted(prod, prod.rewards, 0.9, cfg)
     p2 = solve_discounted(prod, prod.rewards, 0.9, cfg)
-    assert len(p1.alphas) == len(p2.alphas)
-    for a1, a2 in zip(p1.alphas, p2.alphas):
-        assert a1.action == a2.action
-        assert np.array_equal(a1.values, a2.values)
+    assert np.array_equal(p1.actions, p2.actions)
+    assert np.array_equal(p1.alphas, p2.alphas)
 
 
 def test_nonconvergence_flagged_not_raised():
@@ -224,9 +232,8 @@ def test_point_backup_matches_dense_on_pruned_m7():
         reward, _ = scalarize(prod, lam, 1.0 - preset.threshold)
         policy = solve_discounted(prod, reward, gamma, SolverConfig(
             n_beliefs=100, max_backup_rounds=60, expansion_seed=1))
-        mat = np.vstack([a.values for a in policy.alphas])
-        assert mat.shape[0] > 10
-        assert_backups_agree(prod, reward, gamma, policy.stats["beliefs"], mat)
+        assert policy.alphas.shape[0] > 10
+        assert_backups_agree(prod, reward, gamma, policy.stats["beliefs"], policy.alphas)
 
 
 # --------------------------------------------------------------------------
@@ -305,24 +312,33 @@ def test_oracle_guards_large_trees():
 # --------------------------------------------------------------------------
 
 def test_policy_action_single_vector():
-    policy = AlphaPolicy("stationary", [AlphaVector(2, np.array([0.0, 1.0]))], 2, gamma=0.9)
-    assert policy_action(policy, np.array([1.0, 0.0])) == 2
-    assert policy_action(policy, np.array([0.0, 1.0])) == 2
+    policy = AlphaPolicy([[0.0, 1.0]], [2], gamma=0.9)
+    assert policy.action(np.array([1.0, 0.0])) == 2
+    assert policy.action(np.array([0.0, 1.0])) == 2
 
 
 def test_policy_action_tie_breaks_low_index():
-    alphas = [AlphaVector(3, np.array([1.0, 1.0])), AlphaVector(0, np.array([1.0, 1.0]))]
-    policy = AlphaPolicy("stationary", alphas, 2, gamma=0.9)
-    assert policy_action(policy, np.array([0.5, 0.5])) == 3
+    policy = AlphaPolicy([[1.0, 1.0], [1.0, 1.0]], [3, 0], gamma=0.9)
+    assert policy.action(np.array([0.5, 0.5])) == 3
 
 
 def test_policy_action_dominating_action():
-    alphas = [AlphaVector(0, np.array([5.0, 0.0])), AlphaVector(1, np.array([0.0, 5.0]))]
-    policy = AlphaPolicy("stationary", alphas, 2, gamma=0.9)
-    assert policy_action(policy, np.array([1.0, 0.0])) == 0
-    assert policy_action(policy, np.array([0.0, 1.0])) == 1
+    policy = AlphaPolicy([[5.0, 0.0], [0.0, 5.0]], [0, 1], gamma=0.9)
+    assert policy.action(np.array([1.0, 0.0])) == 0
+    assert policy.action(np.array([0.0, 1.0])) == 1
     with pytest.raises(ValueError):
-        policy_action(policy, np.zeros(3))
+        policy.action(np.zeros(3))
+
+
+@pytest.mark.parametrize("alphas, actions", [
+    (np.zeros((0, 2)), []),               # no vectors
+    ([0.0, 1.0], [0]),                    # not a matrix
+    ([[0.0, np.nan]], [0]),               # non-finite entry
+    ([[0.0, 1.0]], [0, 1]),               # one action per vector
+])
+def test_alpha_policy_rejects_malformed_arrays(alphas, actions):
+    with pytest.raises(ValueError):
+        AlphaPolicy(alphas, actions)
 
 
 # --------------------------------------------------------------------------
@@ -351,3 +367,27 @@ def test_time_indexed_policy_roundtrip():
     b = np.full(prod.n_states, 1.0 / prod.n_states)
     for t in range(3):
         assert again.action(b, t) == policy.action(b, t)
+
+
+STATIONARY_DOC = (
+    '{"kind": "stationary", "n_states": 2, "converged": false, "gamma": 0.9, "alphas": '
+    '[{"action": 1, "values": [0.5, -1.25]}, {"action": 0, "values": [2.0, 0.0]}]}')
+TIME_INDEXED_DOC = (
+    '{"kind": "time_indexed", "n_states": 2, "converged": true, "horizon": 1, "alphas": '
+    '[[{"action": 0, "values": [1.0, 0.0]}], '
+    '[{"action": 1, "values": [0.25, 0.75]}, {"action": 0, "values": [0.5, 0.5]}]]}')
+
+
+@pytest.mark.parametrize("policy, want", [
+    (AlphaPolicy([[0.5, -1.25], [2.0, 0.0]], [1, 0], gamma=0.9, converged=False),
+     STATIONARY_DOC),
+    (TimeIndexedPolicy([AlphaPolicy([[1.0, 0.0]], [0]),
+                        AlphaPolicy([[0.25, 0.75], [0.5, 0.5]], [1, 0])]),
+     TIME_INDEXED_DOC),
+], ids=["stationary", "time_indexed"])
+def test_policy_file_format_is_pinned(policy, want, tmp_path):
+    """Kind, key order and values of a policy file, byte for byte."""
+    assert json.dumps(policy_to_dict(policy)) == want
+    save_policy(policy, tmp_path / "policy.json")
+    assert (tmp_path / "policy.json").read_text() == want + "\n"
+    assert json.dumps(policy_to_dict(load_policy(tmp_path / "policy.json"))) == want

@@ -6,7 +6,7 @@ import pytest
 from ltlfplan.benchmarks import accepting_sink_instance, chain3, twostate_constrained
 from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import parse_formula
-from ltlfplan.pbvi import AlphaPolicy, AlphaVector, SolverConfig, solve_discounted
+from ltlfplan.pbvi import AlphaPolicy, SolverConfig
 from ltlfplan.planner import (
     ConstrainedProblem, MixedPolicy, auto_eta, eg_solve, eg_update_lambda, mc_evaluate,
     reduce_support_bfs, regret_bound, scalarize, theorem2_report,
@@ -138,10 +138,8 @@ def test_mc_all_accepting_product_saturates():
 def test_mc_degenerate_mixture_matches_pure():
     model, spec = twostate_constrained(0.9)
     prod = product_for(model, spec)
-    go = AlphaPolicy("stationary", [AlphaVector(1, np.zeros(prod.n_states))],
-                     prod.n_states, gamma=0.9)
-    stay = AlphaPolicy("stationary", [AlphaVector(0, np.zeros(prod.n_states))],
-                       prod.n_states, gamma=0.9)
+    go = AlphaPolicy(np.zeros((1, prod.n_states)), [1], gamma=0.9)
+    stay = AlphaPolicy(np.zeros((1, prod.n_states)), [0], gamma=0.9)
     mixture = MixedPolicy([go, stay], [1.0, 0.0])
     a = mc_evaluate(mixture, prod, 400, seed=21)
     b = mc_evaluate(go, prod, 400, seed=21)
@@ -162,10 +160,8 @@ def test_mc_deterministic_single_run_exact():
 def test_mixture_linearity():
     model, spec = twostate_constrained(0.5)
     prod = product_for(model, spec)
-    go = AlphaPolicy("stationary", [AlphaVector(1, np.zeros(prod.n_states))],
-                     prod.n_states, gamma=0.5)
-    stay = AlphaPolicy("stationary", [AlphaVector(0, np.zeros(prod.n_states))],
-                       prod.n_states, gamma=0.5)
+    go = AlphaPolicy(np.zeros((1, prod.n_states)), [1], gamma=0.5)
+    stay = AlphaPolicy(np.zeros((1, prod.n_states)), [0], gamma=0.5)
     w = 0.3
     mixture = MixedPolicy([go, stay], [w, 1 - w])
     n = 100_000
@@ -181,7 +177,7 @@ def test_mixture_linearity():
 
 
 def test_mixed_policy_validation():
-    p = AlphaPolicy("stationary", [AlphaVector(0, np.zeros(2))], 2, gamma=0.5)
+    p = AlphaPolicy(np.zeros((1, 2)), [0], gamma=0.5)
     with pytest.raises(ValueError):
         MixedPolicy([p], [0.5])
     with pytest.raises(ValueError):

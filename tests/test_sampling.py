@@ -8,7 +8,7 @@ import pytest
 
 from ltlfplan.benchmarks import make_model, make_spec, random_tiny_model, twostate_constrained
 from ltlfplan.pbvi import (
-    AlphaPolicy, AlphaVector, SolverConfig, solve_discounted, solve_finite_horizon,
+    AlphaPolicy, SolverConfig, solve_discounted, solve_finite_horizon,
 )
 from ltlfplan.planner import _SELECT_STREAM, MixedPolicy, mc_evaluate, scalarize
 from ltlfplan.pomdp import (
@@ -36,9 +36,7 @@ def tie_policy(prod):
     """Stationary policy whose first two vectors tie at every belief."""
     rng = make_rng(3)
     v = rng.random(prod.n_states)
-    return AlphaPolicy("stationary", [AlphaVector(1, v), AlphaVector(0, v.copy()),
-                                      AlphaVector(0, rng.random(prod.n_states))],
-                       prod.n_states, gamma=prod.stopping.gamma)
+    return AlphaPolicy([v, v, rng.random(prod.n_states)], [1, 0, 0], gamma=prod.stopping.gamma)
 
 
 def stationary_policy(prod, lam):
