@@ -24,7 +24,7 @@ from .benchmarks import (
 )
 from .dfa import compile_minimal_dfa, dfa_to_dot, save_dfa
 from .ltlf import LtlfError, parse_formula
-from .pbvi import SolverConfig, TimeIndexedPolicy, load_policy, policy_from_dict, save_policy
+from .pbvi import SolverConfig, check_policy, load_policy, policy_from_dict, save_policy
 from .planner import (
     ConstrainedProblem, MixedPolicy, eg_solve, export_trace_csv, mc_evaluate, rollout_policy,
     save_result,
@@ -174,9 +174,8 @@ def cmd_solve(args) -> int:
 
 
 def _load_policy_for(path: Path, prod):
-    """The policy or mixture in a file, checked to run on the product: every
-    member acts on its states with its actions, and a time-indexed member
-    covers its whole horizon."""
+    """The policy or mixture in a file, every member checked to run on the
+    product (pbvi.check_policy)."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -185,22 +184,12 @@ def _load_policy_for(path: Path, prod):
                                  doc["weights"])
         else:
             policy = policy_from_dict(doc)
+        for member in policy.policies if isinstance(policy, MixedPolicy) else [policy]:
+            check_policy(member, prod)
     except KeyError as exc:
         raise ValidationFailure(f"malformed policy file {path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationFailure(f"malformed policy file {path}: {exc}") from exc
-    stopping = prod.stopping
-    for member in policy.policies if isinstance(policy, MixedPolicy) else [policy]:
-        if member.n_states != prod.n_states:
-            raise ValidationFailure(f"policy is over {member.n_states} states, "
-                                    f"product has {prod.n_states}")
-        stages = member if isinstance(member, TimeIndexedPolicy) else [member]
-        if not all(0 <= a < prod.n_actions for stage in stages for a in stage.actions.tolist()):
-            raise ValidationFailure(f"policy uses an action outside 0..{prod.n_actions - 1}")
-        if isinstance(member, TimeIndexedPolicy) and \
-                not (stopping.kind == "fixed" and member.horizon >= stopping.T):
-            raise ValidationFailure(f"time-indexed policy of horizon {member.horizon} does not "
-                                    f"cover the product's stopping rule")
     return policy
 
 

@@ -393,6 +393,22 @@ def policy_from_dict(doc: dict):
     return policy
 
 
+def check_policy(policy, prod) -> None:
+    """ValueError unless the policy can run on the product: it acts on the
+    product's states with its actions, and a time-indexed policy runs only
+    under a fixed horizon it covers."""
+    if policy.n_states != prod.n_states:
+        raise ValueError(f"policy is over {policy.n_states} states, product has {prod.n_states}")
+    stages = policy if isinstance(policy, TimeIndexedPolicy) else [policy]
+    if not all(0 <= a < prod.n_actions for stage in stages for a in stage.actions.tolist()):
+        raise ValueError(f"policy uses an action outside 0..{prod.n_actions - 1}")
+    stopping = prod.stopping
+    if isinstance(policy, TimeIndexedPolicy) and \
+            not (stopping.kind == "fixed" and policy.horizon >= stopping.T):
+        raise ValueError(f"time-indexed policy of horizon {policy.horizon} does not "
+                         f"cover the product's stopping rule")
+
+
 def save_policy(policy, path) -> None:
     with open(path, "w") as fh:
         json.dump(policy_to_dict(policy), fh)

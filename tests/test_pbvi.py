@@ -5,11 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ltlfplan import pbvi
 from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import TRUE, parse_formula
 from ltlfplan.pbvi import (
     AlphaPolicy, SolverConfig, TimeIndexedPolicy, _backup_tables, _point_backup,
-    exact_value_oracle, load_policy, policy_from_dict, policy_to_dict, save_policy,
+    check_policy, exact_value_oracle, load_policy, policy_from_dict, policy_to_dict, save_policy,
     solve_discounted, solve_finite_horizon, start_value,
 )
 from ltlfplan.planner import scalarize
@@ -78,23 +79,30 @@ def test_solver_value_consistent_with_rollouts():
     assert abs(totals.mean() - start_value(policy, prod)) <= 3 * se
 
 
-def test_monotone_improvement_and_bounds():
-    """Point values at the belief set never fall as the round cap grows."""
+def test_monotone_improvement_and_bounds(monkeypatch):
+    """Point values at the belief set never fall as the round cap grows,
+    from cap 0 (the floor and warm-start winners) to the converged solve."""
     model = uninformative_two_state(stopping=StoppingModel.geometric(0.9))
     prod = trivial_product(model)
     cfg = SolverConfig(n_beliefs=24, max_backup_rounds=300, bellman_tolerance=1e-8)
     policy = solve_discounted(prod, prod.rewards, 0.9, cfg)
     beliefs = policy.stats["beliefs"]
-    caps = range(1, min(policy.stats["rounds"], 30) + 1)
-    assert len(caps) > 1
-    values = []
-    for cap in caps:
-        capped = solve_discounted(prod, prod.rewards, 0.9, replace(cfg, max_backup_rounds=cap))
-        assert np.array_equal(capped.stats["beliefs"], beliefs)
-        values.append((beliefs @ capped.alphas.T).max(axis=1))
+    rounds = policy.stats["rounds"]
+    assert policy.converged and rounds > 1
+
+    def capped(cap):
+        return solve_discounted(prod, prod.rewards, 0.9, replace(cfg, max_backup_rounds=cap))
+
+    # Same seed, same walk: the first and last caps rebuild this belief set,
+    # so the sweep below reuses it instead of repeating the walk per cap.
+    for cap in (0, rounds):
+        assert np.array_equal(capped(cap).stats["beliefs"], beliefs)
+    monkeypatch.setattr(pbvi, "expand_beliefs_random_walk", lambda *args: beliefs)
+    values = [(beliefs @ capped(cap).alphas.T).max(axis=1) for cap in range(rounds + 1)]
     for older, newer in zip(values, values[1:]):
         assert np.all(newer >= older - 1e-12)
     assert np.any(values[-1] > values[0])
+    assert np.array_equal(values[-1], (beliefs @ policy.alphas.T).max(axis=1))
     lo = prod.rewards.min() / (1 - 0.9)
     hi = prod.rewards.max() / (1 - 0.9)
     assert np.all(policy.alphas >= lo - 1e-9)
@@ -339,6 +347,26 @@ def test_policy_action_dominating_action():
 def test_alpha_policy_rejects_malformed_arrays(alphas, actions):
     with pytest.raises(ValueError):
         AlphaPolicy(alphas, actions)
+
+
+def test_check_policy_against_product():
+    fixed = trivial_product(uninformative_two_state(stopping=StoppingModel.fixed(2)))
+    geometric = trivial_product(uninformative_two_state(stopping=StoppingModel.geometric(0.9)))
+    X, A = fixed.n_states, fixed.n_actions
+    stationary = AlphaPolicy(np.zeros((1, X)), [A - 1])
+    check_policy(stationary, fixed)
+    check_policy(stationary, geometric)
+    covering = TimeIndexedPolicy([stationary] * 3)
+    check_policy(covering, fixed)
+    for policy, prod in [
+        (AlphaPolicy(np.zeros((1, X + 1)), [0]), fixed),     # wrong state count
+        (AlphaPolicy(np.zeros((1, X)), [A]), fixed),         # action out of range
+        (AlphaPolicy(np.zeros((1, X)), [-1]), fixed),
+        (TimeIndexedPolicy([stationary] * 2), fixed),        # horizon 1 < T = 2
+        (covering, geometric),                               # no fixed horizon
+    ]:
+        with pytest.raises(ValueError):
+            check_policy(policy, prod)
 
 
 # --------------------------------------------------------------------------
