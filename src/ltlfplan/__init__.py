@@ -24,8 +24,8 @@ from .pomdp import (
     save_model,
 )
 from .product import (
-    ProductPomdp, automaton_state_after, build_product, constrained_product, load_product,
-    prune_unreachable, save_product,
+    ProductPomdp, build_product, constrained_product, load_product, prune_unreachable,
+    save_product,
 )
 from .pbvi import (
     AlphaPolicy, SolverConfig, TimeIndexedPolicy, exact_value_oracle, load_policy,

@@ -77,7 +77,6 @@ class GridSpec:
     close_probs: tuple = ()                           # P('C' | adjacent) per candidate
     start: tuple = (0, 0)
     gamma: float = 0.99
-    reward_unit: float | None = None                  # default (1 - gamma)
 
     def cells(self):
         return [(x, y) for y in range(self.height) for x in range(self.width)]
@@ -129,7 +128,7 @@ def _neighbor_obs_row(spec: GridSpec, cell, index) -> np.ndarray:
 
 def build_grid_model(spec: GridSpec) -> LabeledPomdp:
     _check_cells(spec)
-    unit = (1.0 - spec.gamma) if spec.reward_unit is None else spec.reward_unit
+    unit = 1.0 - spec.gamma
     cells = spec.cells()
     cell_index = {c: i for i, c in enumerate(cells)}
     atom_set = {spec.object_atom} if spec.observation == "proximity" else set()
@@ -206,7 +205,7 @@ def build_grid_model(spec: GridSpec) -> LabeledPomdp:
     return model
 
 
-def _grid_spec(name: str) -> GridSpec:
+def grid_spec(name: str) -> GridSpec:
     if name == "M1":
         return GridSpec("M1", 4, 4, labels={(1, 2): ("b",), (3, 3): ("a",)},
                         rewards={(0, 3): 2.0, (3, 3): 1.0})
@@ -247,14 +246,10 @@ def _grid_spec(name: str) -> GridSpec:
 
 def make_model(name: str, **overrides) -> LabeledPomdp:
     """Build one of M1-M9; keyword overrides replace GridSpec fields."""
-    spec = _grid_spec(name)
+    spec = grid_spec(name)
     if overrides:
         spec = replace(spec, **overrides)
     return build_grid_model(spec)
-
-
-def grid_spec(name: str) -> GridSpec:
-    return _grid_spec(name)
 
 
 # --------------------------------------------------------------------------
@@ -342,12 +337,10 @@ def run_experiment(model_name: str, spec_name: str | None = None, *, K: int | No
 # --------------------------------------------------------------------------
 
 def trajectory_table(prod: ProductPomdp, traj) -> list[dict]:
-    """Rows (t, s, q, a, o, r) for a trajectory simulated on the product."""
-    base_states = prod.base_run(traj)
-    q = prod.dfa.initial
+    """Rows (t, s, q, a, o, r) for a trajectory simulated on the product;
+    s and q are the components of the product state at t."""
     rows = []
-    for t in range(len(traj)):
-        s = int(base_states[t])
+    for t, (s, q) in enumerate(prod.pairs[traj.states].tolist()):
         rows.append({
             "t": t,
             "s": prod.base.states[s],
@@ -356,7 +349,6 @@ def trajectory_table(prod: ProductPomdp, traj) -> list[dict]:
             "o": prod.observations[int(traj.observations[t])],
             "r": float(traj.rewards[t]),
         })
-        q = int(prod.dfa.delta[q, prod.base.labels[s]])
     return rows
 
 
@@ -386,9 +378,8 @@ def render_trajectory_ascii(prod: ProductPomdp, traj) -> str:
     for idx, (x, y) in enumerate(coords):
         if labels[idx]:
             cell_letter[(x, y)] = sorted(labels[idx])[0]
-    base_states = prod.base_run(traj)
     frames = []
-    for r, s in zip(rows, base_states):
+    for r, s in zip(rows, prod.base_run(traj)):
         ax, ay = coords[int(s)]
         lines = [f"t={r['t']} q={r['q']} a={r['a']} r={r['r']:g}"]
         for y in range(height - 1, -1, -1):

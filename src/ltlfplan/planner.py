@@ -209,7 +209,7 @@ def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
     for i in range(n):
         traj = prod.simulate(rollout_policy(policy, seed, i), derive_seed(seed, i))
         totals[i] = traj.rewards.sum()
-        finals[i] = 1.0 if traj.final_dfa_state in prod.dfa.accepting else 0.0
+        finals[i] = prod.accepts_at_stop[traj.states[-1]]
     r_se = float(totals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     p_se = float(finals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return EvalResult(float(totals.mean()), float(finals.mean()), r_se, p_se, n)

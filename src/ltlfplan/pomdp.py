@@ -112,6 +112,10 @@ class LabeledPomdp:
             raise ModelError("reward table has wrong shape")
         if self.labels.shape != (S,):
             raise ModelError("label table has wrong length")
+        for table, arr in (("transition", self.P), ("observation", self.Z),
+                           ("initial", self.varpi), ("reward", self.rewards)):
+            if not np.isfinite(arr).all():
+                raise ModelError(f"non-finite entry in the {table} table")
         if np.any(self.P < 0) or np.any(self.Z < 0) or np.any(self.varpi < 0):
             raise ModelError("negative probability entry")
         bad = np.argwhere(np.abs(self.P.sum(axis=2) - 1.0) > atol)
@@ -188,12 +192,12 @@ def initial_beliefs(model) -> list[tuple[float, int, np.ndarray]]:
 
 @dataclass
 class Trajectory:
-    """One run: aligned (state, action, observation, reward) per t = 0..T."""
+    """One run of any model: aligned (state, action, observation, reward)
+    per t = 0..T, states indexing the model's own state list."""
     states: np.ndarray
     actions: np.ndarray
     observations: np.ndarray
     rewards: np.ndarray
-    final_dfa_state: int | None = None
 
     @property
     def horizon(self) -> int:
@@ -347,25 +351,58 @@ def sample_trajectory(model, policy, seed: int) -> Trajectory:
 # Model file format (JSON document; probabilities as floats or decimal strings)
 # --------------------------------------------------------------------------
 
-def _prob(value, where: str) -> float:
+_JSON_KIND = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` if it is of JSON kind ``kind``, else a ModelError."""
+    if not isinstance(value, kind):
+        raise ModelError(f"{where} must be {_JSON_KIND[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _names(value, where: str) -> list[str]:
+    for name in _typed(value, list, where):
+        _typed(name, str, f"each entry of {where}")
+    return value
+
+
+def _ref(index: dict, name, what: str, where: str):
+    """index[name] for a name the document declares, else a ModelError."""
+    if not isinstance(name, str) or name not in index:
+        raise ModelError(f"unknown {what} {name!r} in {where}")
+    return index[name]
+
+
+def _number(value, where: str) -> float:
+    if isinstance(value, bool):
+        raise ModelError(f"bad number {value!r} in {where}")
     try:
-        p = float(value)
+        x = float(value)
     except (TypeError, ValueError):
-        raise ModelError(f"bad probability {value!r} in {where}") from None
+        raise ModelError(f"bad number {value!r} in {where}") from None
+    if not np.isfinite(x):
+        raise ModelError(f"non-finite number {value!r} in {where}")
+    return x
+
+
+def _prob(value, where: str) -> float:
+    p = _number(value, where)
     if p < 0.0:
         raise ModelError(f"negative probability in {where}")
     return p
 
 
 def model_from_dict(doc: dict) -> LabeledPomdp:
+    _typed(doc, dict, "a model document")
     for fieldname in ("name", "states", "actions", "observations", "initial",
                       "transitions", "observe", "stopping"):
         if fieldname not in doc:
             raise ModelError(f"model document missing field {fieldname!r}")
-    states = list(doc["states"])
-    actions = list(doc["actions"])
-    observations = list(doc["observations"])
-    atoms = tuple(doc.get("atoms", []))
+    states = _names(doc["states"], "states")
+    actions = _names(doc["actions"], "actions")
+    observations = _names(doc["observations"], "observations")
+    atoms = tuple(_names(doc.get("atoms", []), "atoms"))
     for a in atoms:
         if not _IDENT_RE.match(a):
             raise ModelError(f"invalid atom name {a!r}")
@@ -376,69 +413,54 @@ def model_from_dict(doc: dict) -> LabeledPomdp:
     S, A, O = len(states), len(actions), len(observations)
 
     varpi = np.zeros(S)
-    for s, p in doc["initial"].items():
-        if s not in s_index:
-            raise ModelError(f"initial distribution references unknown state {s!r}")
-        varpi[s_index[s]] = _prob(p, "initial")
+    for s, p in _typed(doc["initial"], dict, "initial").items():
+        varpi[_ref(s_index, s, "state", "initial")] = _prob(p, "initial")
 
     labels = np.zeros(S, dtype=np.int64)
-    for s, names in doc.get("labels", {}).items():
-        if s not in s_index:
-            raise ModelError(f"labels reference unknown state {s!r}")
-        mask = 0
-        for name in names:
-            if name not in atom_index:
-                raise ModelError(f"label {name!r} on state {s!r} not in atom set")
-            mask |= 1 << atom_index[name]
-        labels[s_index[s]] = mask
+    for s, names in _typed(doc.get("labels", {}), dict, "labels").items():
+        x = _ref(s_index, s, "state", "labels")
+        for name in _names(names, f"labels[{s!r}]"):
+            labels[x] |= 1 << _ref(atom_index, name, "atom", f"labels[{s!r}]")
 
     P = np.zeros((S, A, S))
     seen_rows = set()
-    for row in doc["transitions"]:
-        s, a = row.get("state"), row.get("action")
-        if s not in s_index:
-            raise ModelError(f"transition row references unknown state {s!r}")
-        if a not in a_index:
-            raise ModelError(f"transition row references unknown action {a!r}")
-        key = (s_index[s], a_index[a])
+    for row in _typed(doc["transitions"], list, "transitions"):
+        s, a = _typed(row, dict, "each transition row").get("state"), row.get("action")
+        key = (_ref(s_index, s, "state", "a transition row"),
+               _ref(a_index, a, "action", "a transition row"))
         if key in seen_rows:
             raise ModelError(f"duplicate transition row for (state={s!r}, action={a!r})")
         seen_rows.add(key)
-        for s2, p in row.get("next", {}).items():
-            if s2 not in s_index:
-                raise ModelError(f"transition row ({s!r}, {a!r}) references unknown state {s2!r}")
-            P[key[0], key[1], s_index[s2]] = _prob(p, f"transition ({s!r}, {a!r})")
+        where = f"transition ({s!r}, {a!r})"
+        for s2, p in _typed(row.get("next", {}), dict, where).items():
+            P[key[0], key[1], _ref(s_index, s2, "state", where)] = _prob(p, where)
     missing = [(states[s], actions[a]) for s in range(S) for a in range(A) if (s, a) not in seen_rows]
     if missing:
         raise ModelError(f"missing transition rows for {missing[:3]}{'...' if len(missing) > 3 else ''}")
 
     Z = np.zeros((S, O))
-    for s, dist in doc["observe"].items():
-        if s not in s_index:
-            raise ModelError(f"observe table references unknown state {s!r}")
-        for o, p in dist.items():
-            if o not in o_index:
-                raise ModelError(f"observe table for state {s!r} references unknown observation {o!r}")
-            Z[s_index[s], o_index[o]] = _prob(p, f"observe[{s!r}]")
+    for s, dist in _typed(doc["observe"], dict, "observe").items():
+        x = _ref(s_index, s, "state", "observe")
+        for o, p in _typed(dist, dict, f"observe[{s!r}]").items():
+            Z[x, _ref(o_index, o, "observation", f"observe[{s!r}]")] = _prob(p, f"observe[{s!r}]")
 
     rewards = np.zeros((S, A))
-    for row in doc.get("rewards", []):
-        s, a = row.get("state"), row.get("action")
-        if s not in s_index:
-            raise ModelError(f"reward row references unknown state {s!r}")
-        if a not in a_index:
-            raise ModelError(f"reward row references unknown action {a!r}")
-        rewards[s_index[s], a_index[a]] = float(row.get("value", 0.0))
+    for row in _typed(doc.get("rewards", []), list, "rewards"):
+        s, a = _typed(row, dict, "each reward row").get("state"), row.get("action")
+        where = f"reward ({s!r}, {a!r})"
+        key = (_ref(s_index, s, "state", where), _ref(a_index, a, "action", where))
+        rewards[key] = _number(row.get("value", 0.0), where)
 
-    stop_doc = doc["stopping"]
+    stop_doc = _typed(doc["stopping"], dict, "stopping")
     kind = stop_doc.get("kind")
-    needed = {"fixed": "T", "geometric": "gamma"}
-    if kind not in needed:
-        raise ModelError(f"unknown stopping kind {kind!r}")
-    if needed[kind] not in stop_doc:
-        raise ModelError(f"{kind} stopping needs field {needed[kind]!r}")
+    needed = _ref({"fixed": "T", "geometric": "gamma"}, kind, "kind", "stopping")
+    if needed not in stop_doc:
+        raise ModelError(f"{kind} stopping needs field {needed!r}")
     if kind == "fixed":
-        stopping = StoppingModel.fixed(int(stop_doc["T"]))
+        T = stop_doc["T"]
+        if isinstance(T, bool) or not isinstance(T, int) or T < 0:
+            raise ModelError(f"fixed stopping needs an integer T >= 0, got {T!r}")
+        stopping = StoppingModel.fixed(T)
     else:
         stopping = StoppingModel.geometric(_prob(stop_doc["gamma"], "stopping"))
 
@@ -480,7 +502,11 @@ def model_to_dict(model: LabeledPomdp) -> dict:
 
 def load_model(path) -> LabeledPomdp:
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ModelError(f"model file {path} is not valid JSON: {exc}") from None
+    return model_from_dict(doc)
 
 
 def save_model(model: LabeledPomdp, path) -> None:

@@ -1,9 +1,11 @@
 """Constrained product POMDP: base model states paired with DFA states.
 
 The automaton consumes the label of the *source* state during the transition
-out of time t, so after a run s_0..s_T the automaton has read the word
-L(s_0)..L(s_T) of length T+1.  The product exposes two reward channels: the
-step reward inherited from the base model and the {0,1} final reward marking
+out of time t, so x_t = (s_t, q_t) carries the automaton state after
+L(s_0)..L(s_{t-1}), and a run that stops at x_T satisfies the spec iff
+delta(q_T, L(s_T)) in F: the product's ``accepts_at_stop`` vector.  Runs are
+plain POMDP trajectories.  The product exposes two reward channels: the step
+reward inherited from the base model and the {0,1} final reward marking
 accepting automaton states.
 """
 
@@ -26,7 +28,8 @@ class ProductPomdp(LabeledPomdp):
 
     An ordinary LabeledPomdp over the pair states, labeled by their base
     component, so beliefs, the trajectory simulator and the solvers apply
-    unchanged; ``r_final`` is the extra accepting-state channel.
+    unchanged; ``r_final`` is the extra accepting-state channel and
+    ``accepts_at_stop`` the spec verdict of a run that stops at each state.
     """
 
     def __init__(self, base: LabeledPomdp, dfa: Dfa, pairs, P, Z, varpi, rewards,
@@ -40,26 +43,18 @@ class ProductPomdp(LabeledPomdp):
         self.dfa = dfa
         self.pairs = pairs
         self.r_final = np.ascontiguousarray(r_final, dtype=np.float64)
-        for arr in (self.pairs, self.r_final):
+        # delta(q, L(s)) in F: a run stopping at x = (s, q) still reads L(s)
+        self.accepts_at_stop = dfa.accepts_mask()[dfa.delta[pairs[:, 1], self.labels]]
+        for arr in (self.pairs, self.r_final, self.accepts_at_stop):
             arr.setflags(write=False)
 
-    def base_state(self, x: int) -> int:
-        return int(self.pairs[x, 0])
-
-    def final_automaton_state(self, traj: Trajectory) -> int:
-        """Q_{T+1} for a trajectory simulated on this product: the automaton
-        component after consuming the label of the last visited state."""
-        s_last, q_last = self.pairs[traj.states[-1]]
-        return int(self.dfa.delta[q_last, self.base.labels[s_last]])
-
     def final_satisfied(self, traj: Trajectory) -> bool:
-        return self.final_automaton_state(traj) in self.dfa.accepting
+        """Whether a run on this product satisfies the spec."""
+        return bool(self.accepts_at_stop[traj.states[-1]])
 
     def simulate(self, policy, seed: int) -> Trajectory:
-        """Sample one product run and record Q_{T+1} on the trajectory."""
-        traj = sample_trajectory(self, policy, seed)
-        traj.final_dfa_state = self.final_automaton_state(traj)
-        return traj
+        """Sample one run on this product: a plain ``sample_trajectory`` run."""
+        return sample_trajectory(self, policy, seed)
 
     def base_run(self, traj: Trajectory) -> np.ndarray:
         """Base-model state sequence embedded in a product trajectory."""
@@ -126,26 +121,6 @@ def prune_unreachable(prod: ProductPomdp) -> ProductPomdp:
                           prod.r_final[keep], name=prod.name)
     pruned.validate(atol=LOAD_ATOL)
     return pruned
-
-
-def automaton_state_after(prod_or_dfa, base_states, labels=None) -> int:
-    """Replay the automaton over the labels of a base-state run s_0..s_T.
-
-    Returns Q_{T+1}; the run satisfies the spec iff this state is accepting.
-    """
-    if isinstance(prod_or_dfa, ProductPomdp):
-        dfa = prod_or_dfa.dfa
-        labels = prod_or_dfa.base.labels
-    else:
-        dfa = prod_or_dfa
-        if labels is None:
-            raise ValueError("labels required when replaying against a bare DFA")
-    if isinstance(base_states, Trajectory):
-        base_states = base_states.states
-    q = dfa.initial
-    for s in np.asarray(base_states, dtype=np.int64):
-        q = int(dfa.delta[q, labels[s]])
-    return q
 
 
 # --------------------------------------------------------------------------

@@ -3,14 +3,14 @@ import pytest
 
 from ltlfplan.benchmarks import (
     CSV_COLUMNS, PRESETS, SPEC_STRINGS, build_instance, chain3, grid_spec, make_model,
-    make_spec, render_trajectory_ascii, run_experiment, trajectory_table,
+    make_spec, random_tiny_model, render_trajectory_ascii, run_experiment, trajectory_table,
     twostate_constrained,
 )
 from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import parse_formula
 from ltlfplan.pbvi import SolverConfig
 from ltlfplan.pomdp import RandomPolicy, derive_seed, sample_trajectory
-from ltlfplan.product import build_product
+from ltlfplan.product import build_product, constrained_product
 
 
 def test_make_spec_strings():
@@ -150,6 +150,28 @@ def test_trajectory_table_and_ascii():
     assert rows[0]["s"] == "(0,0)"
     art = render_trajectory_ascii(prod, traj)
     assert "t=0" in art and ("@" in art or "A" in art or "B" in art)
+
+
+TABLE_PRODUCTS = {
+    # pruning renumbers the product states of M7/phi6
+    "m7_phi6": lambda: build_instance("M7")[2],
+    "tiny_fixed_horizon": lambda: constrained_product(
+        random_tiny_model(5, n_states=3, n_actions=2, n_obs=2, horizon=12, n_atoms=2), "a U b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PRODUCTS))
+def test_trajectory_table_q_is_the_dfa_run_of_each_prefix(name):
+    prod = TABLE_PRODUCTS[name]()
+    base, dfa = prod.base, prod.dfa
+    if name == "m7_phi6":
+        assert prod.n_states < base.n_states * dfa.n_states
+    for i in range(20):
+        traj = sample_trajectory(prod, RandomPolicy(prod.n_actions, seed=i), seed=derive_seed(9, i))
+        rows = trajectory_table(prod, traj)
+        base_states = [base.states.index(r["s"]) for r in rows]
+        assert [r["q"] for r in rows] == [dfa.run(base.labels[base_states[:t]])
+                                          for t in range(len(rows))]
 
 
 def test_run_experiment_smoke():

@@ -276,6 +276,65 @@ def test_malformed_policy_files_exit_3(tmp_path, model_file, command, case):
     assert run(command, *args) == 3
 
 
+def _set(path, value):
+    """Edit that sets doc[path[0]]...[path[-1]] = value."""
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+# each edit of the two-state model file makes it malformed; the second entry
+# is a fragment of the error line that names the fault
+MALFORMED_MODELS = {
+    "nan_initial": (_set(["initial", "home"], float("nan")), "non-finite number nan in initial"),
+    "nan_next": (_set(["transitions", 0, "next", "home"], float("nan")),
+                 "non-finite number nan in transition ('home', 'stay')"),
+    "nan_observe": (_set(["observe", "home", "home"], float("nan")),
+                    "non-finite number nan in observe['home']"),
+    "T_2.5": (_set(["stopping"], {"kind": "fixed", "T": 2.5}), "integer T >= 0, got 2.5"),
+    "T_true": (_set(["stopping"], {"kind": "fixed", "T": True}), "integer T >= 0, got True"),
+    "T_abc": (_set(["stopping"], {"kind": "fixed", "T": "abc"}), "integer T >= 0, got 'abc'"),
+    "reward_x": (_set(["rewards", 0, "value"], "x"), "bad number 'x' in reward ('home', 'stay')"),
+    "reward_nan": (_set(["rewards", 0, "value"], float("nan")),
+                   "non-finite number nan in reward ('home', 'stay')"),
+    "initial_list": (_set(["initial"], [1.0, 0.0]), "initial must be an object, got list"),
+    "labels_list": (_set(["labels"], [["g"]]), "labels must be an object, got list"),
+    "observe_row_list": (_set(["observe", "home"], [1.0, 0.0]),
+                         "observe['home'] must be an object, got list"),
+    "transitions_object": (_set(["transitions"], {"home": {"home": 1.0}}),
+                           "transitions must be a list, got dict"),
+    "row_state_list": (_set(["transitions", 0, "state"], ["home"]),
+                       "unknown state ['home'] in a transition row"),
+    "stopping_kind_list": (_set(["stopping"], {"kind": ["fixed"], "T": 3}),
+                           "unknown kind ['fixed'] in stopping"),
+    "probability_true": (_set(["initial", "home"], True), "bad number True in initial"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_files_exit_3(tmp_path, model_file, capsys, case):
+    edit, fault = MALFORMED_MODELS[case]
+    doc = json.loads(Path(model_file).read_text())
+    edit(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run("product", "--model", str(path), "--spec", "F g",
+               "--out", str(tmp_path / "p"), "--quiet") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fault in err
+
+
+def test_model_file_that_is_not_json_exits_3(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text('{"name": "cut off",')
+    assert run("product", "--model", str(path), "--spec", "F g",
+               "--out", str(tmp_path / "p")) == 3
+    assert capsys.readouterr().err.startswith("error: model file")
+
+
 def test_missing_model_file(tmp_path):
     assert run("product", "--model", "nope.json", "--spec", "F a",
                "--out", str(tmp_path / "p")) == 3

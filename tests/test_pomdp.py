@@ -90,6 +90,19 @@ def test_load_rejects_missing_transition_row():
     assert "missing" in str(err.value)
 
 
+@pytest.mark.parametrize("table", ["P", "Z", "varpi", "rewards"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_validate_rejects_non_finite_entries(table, value):
+    base = uninformative_two_state()
+    arrays = {name: getattr(base, name).copy() for name in ("P", "Z", "varpi", "rewards")}
+    arrays[table].flat[0] = value
+    model = LabeledPomdp("bad", base.states, base.actions, base.observations, arrays["P"],
+                         arrays["Z"], arrays["varpi"], base.atoms, base.labels,
+                         arrays["rewards"], base.stopping)
+    with pytest.raises(ModelError, match="non-finite entry"):
+        model.validate()
+
+
 def test_load_accepts_decimal_strings():
     doc = two_state_doc()
     doc["observe"]["s0"] = {"o0": "0.25", "o1": "0.75"}

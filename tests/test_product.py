@@ -1,7 +1,9 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
-from ltlfplan.benchmarks import make_model
+from ltlfplan.benchmarks import PRESETS, build_instance, make_model
 from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import TRUE, Word, evaluate_trace, parse_formula
 from ltlfplan.pomdp import (
@@ -9,8 +11,8 @@ from ltlfplan.pomdp import (
     sample_trajectory,
 )
 from ltlfplan.product import (
-    automaton_state_after, build_product, constrained_product, load_product, product_from_dict,
-    product_to_dict, prune_unreachable, save_product,
+    build_product, constrained_product, load_product, product_from_dict, product_to_dict,
+    prune_unreachable, save_product,
 )
 
 from helpers import deterministic_chain, uninformative_two_state
@@ -85,7 +87,7 @@ def test_m1_product_structure(m1_product):
         assert np.allclose(marg[:, q, :, :], model.P)
     # observation channel depends only on the base component
     for x in range(prod.n_states):
-        assert np.array_equal(prod.Z[x], model.Z[prod.base_state(x)])
+        assert np.array_equal(prod.Z[x], model.Z[prod.pairs[x, 0]])
     assert set(np.unique(prod.r_final)) <= {0.0, 1.0}
 
 
@@ -96,35 +98,87 @@ def test_product_rejects_atom_mismatch():
         build_product(model, dfa)
 
 
+def stop_state(prod, word):
+    """The product state at which a run whose base states are ``word`` stops:
+    its last base state paired with the automaton state before that state's
+    label, found by Dfa.run over the labels of the rest of the word."""
+    want = (word[-1], prod.dfa.run(prod.base.labels[word[:-1]]))
+    (x,) = np.flatnonzero((prod.pairs == want).all(axis=1))
+    return x
+
+
 def test_automaton_state_after_examples():
+    """Spec verdicts of M1 runs stopping after each word, read off accepts_at_stop."""
     model = make_model("M1")
     dfa = compile_minimal_dfa(parse_formula("F a & G !b"), atoms=model.atoms)
     prod = build_product(model, dfa)
     a_cell = model.states.index("(3,3)")
     b_cell = model.states.index("(1,2)")
     start = model.states.index("(0,0)")
-    assert automaton_state_after(prod, [start, a_cell]) in dfa.accepting
-    assert automaton_state_after(prod, [start, start]) not in dfa.accepting
-    dead = automaton_state_after(prod, [start, b_cell, a_cell])
-    assert dead not in dfa.accepting
-    # dead state is absorbing: no suffix can recover
-    assert automaton_state_after(prod, [start, b_cell, a_cell, a_cell]) == dead
+    assert prod.accepts_at_stop[stop_state(prod, [start, a_cell])]
+    assert not prod.accepts_at_stop[stop_state(prod, [start, start])]
+    assert not prod.accepts_at_stop[stop_state(prod, [start, b_cell, a_cell])]
+    assert not prod.accepts_at_stop[stop_state(prod, [start, b_cell, a_cell, a_cell])]
+    # the automaton state after b is dead: no run through it is accepted
+    dead = prod.pairs[stop_state(prod, [start, b_cell, a_cell]), 1]
+    assert dead == prod.pairs[stop_state(prod, [start, b_cell, a_cell, a_cell]), 1]
+    assert not prod.accepts_at_stop[prod.pairs[:, 1] == dead].any()
+    with pytest.raises(ValueError):
+        prod.accepts_at_stop[0] = True  # read-only
 
 
 def test_final_state_replay_consistency(m1_product):
     model, dfa, prod = m1_product
     for i in range(30):
         traj = sample_trajectory(prod, RandomPolicy(prod.n_actions, seed=i), seed=derive_seed(4, i))
-        base_states = prod.base_run(traj)
-        assert prod.final_automaton_state(traj) == automaton_state_after(prod, base_states)
+        word = model.labels[prod.base_run(traj)]
+        assert prod.final_satisfied(traj) == (dfa.run(word) in dfa.accepting)
 
 
-def test_simulate_records_final_automaton_state(m1_product):
-    _, dfa, prod = m1_product
-    traj = prod.simulate(RandomPolicy(prod.n_actions, seed=9), seed=derive_seed(10))
-    assert traj.final_dfa_state is not None
-    assert traj.final_dfa_state == prod.final_automaton_state(traj)
-    assert 0 <= traj.final_dfa_state < dfa.n_states
+def test_simulate_is_a_plain_pomdp_run(m1_product):
+    _, _, prod = m1_product
+    got = prod.simulate(RandomPolicy(prod.n_actions, seed=9), seed=derive_seed(10))
+    want = sample_trajectory(prod, RandomPolicy(prod.n_actions, seed=9), seed=derive_seed(10))
+    assert vars(got).keys() == vars(want).keys() == {"states", "actions", "observations",
+                                                     "rewards"}
+    for field in ("states", "actions", "observations", "rewards"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def base_words(prod):
+    """For every product state x, a base-state word of a run that reaches x,
+    found by breadth-first search over the product's transitions."""
+    words = {int(x): [int(prod.pairs[x, 0])] for x in np.flatnonzero(prod.varpi)}
+    frontier = deque(words)
+    support = prod.P.sum(axis=1) > 0
+    while frontier:
+        x = frontier.popleft()
+        for y in np.flatnonzero(support[x]).tolist():
+            if y not in words:
+                words[y] = words[x] + [int(prod.pairs[y, 0])]
+                frontier.append(y)
+    return words
+
+
+def assert_accepts_at_stop_is_the_dfa_verdict(prod):
+    dfa, labels = prod.dfa, prod.base.labels
+    words = base_words(prod)
+    assert sorted(words) == list(range(prod.n_states))  # pruned: every state reachable
+    for x, word in words.items():
+        assert prod.pairs[x, 1] == dfa.run(labels[word[:-1]])
+        assert prod.accepts_at_stop[x] == (dfa.run(labels[word]) in dfa.accepting)
+
+
+@pytest.mark.parametrize("row", sorted(PRESETS))
+def test_accepts_at_stop_on_every_preset_product(row, tmp_path):
+    _, _, prod = build_instance(row)
+    assert prod.accepts_at_stop.shape == (prod.n_states,)
+    assert_accepts_at_stop_is_the_dfa_verdict(prod)
+    path = tmp_path / "product.json"
+    save_product(prod, path)
+    again = load_product(path)
+    assert np.array_equal(again.accepts_at_stop, prod.accepts_at_stop)
+    assert_accepts_at_stop_is_the_dfa_verdict(again)
 
 
 def test_theorem1_pathwise_coupling(m1_product):

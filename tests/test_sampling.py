@@ -68,6 +68,11 @@ def fixed_case():
     return prod, solve_finite_horizon(prod, reward, 40, cfg, terminal=terminal)
 
 
+def dfa_accepts_run(prod, traj):
+    """Independent verdict: Dfa.run over the base labels of the run."""
+    return prod.dfa.run(prod.base.labels[prod.base_run(traj)]) in prod.dfa.accepting
+
+
 def assert_same_runs(prod, policies, n=40, seed=17):
     """policies() returns a fresh (library policy, reference policy) pair."""
     lengths = []
@@ -78,7 +83,7 @@ def assert_same_runs(prod, policies, n=40, seed=17):
         for field in ("states", "actions", "observations", "rewards"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and np.array_equal(a, b), (i, field)
-        assert got.final_dfa_state == prod.final_automaton_state(want)
+        assert prod.final_satisfied(got) == dfa_accepts_run(prod, want)
         lengths.append(len(got))
     return lengths
 
@@ -121,7 +126,7 @@ def reference_mc_evaluate(policy, prod, n, seed):
         pure = policy.policies[reference_categorical(select, policy.weights)]
         traj = reference_sample_trajectory(prod, ReferenceAlphaAction(pure), derive_seed(seed, i))
         totals[i] = traj.rewards.sum()
-        finals[i] = 1.0 if prod.final_automaton_state(traj) in prod.dfa.accepting else 0.0
+        finals[i] = 1.0 if dfa_accepts_run(prod, traj) else 0.0
     return (float(totals.mean()), float(finals.mean()),
             float(totals.std(ddof=1) / math.sqrt(n)), float(finals.std(ddof=1) / math.sqrt(n)))
 
