@@ -83,16 +83,6 @@ def _resolve_model(path_or_name: str):
     return load_model(path_or_name)
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(n_beliefs=args.n_beliefs, max_backup_rounds=args.max_rounds,
-                        bellman_tolerance=args.tol, expansion_seed=args.seed)
-
-
-def _positive(name: str, value, minimum):
-    if value < minimum:
-        raise ValidationFailure(f"--{name} must be >= {minimum}, got {value}")
-
-
 # --------------------------------------------------------------------------
 # Commands
 # --------------------------------------------------------------------------
@@ -125,18 +115,17 @@ def cmd_product(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _positive("K", args.K, 1)
-    _positive("simu", args.simu, 1)
-    _positive("B", args.B, 1e-12)
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ValidationFailure(f"--threshold must lie in [0,1], got {args.threshold}")
-    eta = "auto" if args.eta == "auto" else float(args.eta)
     model = _resolve_model(args.model)
     text = _load_spec_text(args)
     prod = constrained_product(model, text)
-    problem = ConstrainedProblem(product=prod, threshold=args.threshold, B=args.B,
-                                 K=args.K, eta=eta, simu=args.simu, base_seed=args.seed)
-    cfg = _solver_config(args)
+    try:
+        eta = "auto" if args.eta == "auto" else float(args.eta)
+        problem = ConstrainedProblem(product=prod, threshold=args.threshold, B=args.B,
+                                     K=args.K, eta=eta, simu=args.simu, base_seed=args.seed)
+        cfg = SolverConfig(n_beliefs=args.n_beliefs, max_backup_rounds=args.max_rounds,
+                           bellman_tolerance=args.tol, expansion_seed=args.seed)
+    except ValueError as exc:
+        raise ValidationFailure(f"invalid solve option: {exc}") from exc
     result = eg_solve(problem, cfg)
 
     out = _out_dir(args)
@@ -194,7 +183,8 @@ def _load_policy_for(path: Path, prod):
 
 
 def cmd_evaluate(args) -> int:
-    _positive("rollouts", args.rollouts, 1)
+    if args.rollouts < 1:
+        raise ValidationFailure(f"--rollouts must be >= 1, got {args.rollouts}")
     model = _resolve_model(args.model)
     text = _load_spec_text(args)
     prod = constrained_product(model, text)

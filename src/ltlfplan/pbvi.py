@@ -38,8 +38,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_beliefs < 1:
             raise ValueError("n_beliefs must be >= 1")
-        if self.bellman_tolerance <= 0:
-            raise ValueError("bellman_tolerance must be positive")
+        if self.max_backup_rounds < 0:
+            raise ValueError("max_backup_rounds must be >= 0")
+        if not 0 < self.bellman_tolerance < np.inf:
+            raise ValueError("bellman_tolerance must be positive and finite")
 
 
 class AlphaPolicy:

@@ -54,14 +54,14 @@ class ConstrainedProblem:
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        if self.B <= 0:
-            raise ValueError("B must be positive")
+        if not 0 < self.B < math.inf:
+            raise ValueError(f"B must be positive and finite, got {self.B}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.simu < 1:
             raise ValueError("simu must be >= 1")
-        if self.eta != "auto" and float(self.eta) <= 0:
-            raise ValueError("eta must be positive or 'auto'")
+        if self.eta != "auto" and not 0 < float(self.eta) < math.inf:
+            raise ValueError(f"eta must be positive and finite or 'auto', got {self.eta}")
 
     @property
     def delta(self) -> float:

@@ -4,9 +4,10 @@ The automaton consumes the label of the *source* state during the transition
 out of time t, so x_t = (s_t, q_t) carries the automaton state after
 L(s_0)..L(s_{t-1}), and a run that stops at x_T satisfies the spec iff
 delta(q_T, L(s_T)) in F: the product's ``accepts_at_stop`` vector.  Runs are
-plain POMDP trajectories.  The product exposes two reward channels: the step
-reward inherited from the base model and the {0,1} final reward marking
-accepting automaton states.
+plain POMDP trajectories with two reward channels: the base step reward and the
+{0,1} final reward marking accepting automaton states.  A product is fixed by
+(base model, DFA, pairs): ``ProductPomdp`` derives every table from the kept
+(s, q) pairs, so building, pruning and loading only choose pairs.
 """
 
 from __future__ import annotations
@@ -18,35 +19,53 @@ import numpy as np
 from .dfa import Dfa, compile_minimal_dfa, dfa_from_dict, dfa_to_dict
 from .ltlf import parse_formula
 from .pomdp import (
-    LOAD_ATOL, LabeledPomdp, ModelError, Trajectory, model_from_dict, model_to_dict,
+    LOAD_ATOL, LabeledPomdp, ModelError, Trajectory, _typed, model_from_dict, model_to_dict,
     sample_trajectory,
 )
 
 
 class ProductPomdp(LabeledPomdp):
-    """Product over X = S x Q with dense index x = s*|Q| + q (before pruning).
+    """The product over ``pairs``, an (X, 2) array of distinct (s, q) states.
 
-    An ordinary LabeledPomdp over the pair states, labeled by their base
-    component, so beliefs, the trajectory simulator and the solvers apply
-    unchanged; ``r_final`` is the extra accepting-state channel and
-    ``accepts_at_stop`` the spec verdict of a run that stops at each state.
+    With qnext[x] = delta(q_x, L(s_x)), every table follows from the pairs:
+    P[x, a, y] = base.P[s_x, a, s_y] if q_y == qnext[x] else 0; Z, rewards and
+    labels are the base rows of s_x; varpi[x] = base.varpi[s_x] if q_x is the
+    initial automaton state else 0; the extra channel ``r_final`` = [q_x in F];
+    ``accepts_at_stop`` = [qnext[x] in F], the verdict of a run stopping at x.
+    An ordinary LabeledPomdp, so beliefs, the simulator and the solvers apply
+    unchanged.  Pairs that drop a reachable successor fail validation.
     """
 
-    def __init__(self, base: LabeledPomdp, dfa: Dfa, pairs, P, Z, varpi, rewards,
-                 r_final, name: str = ""):
-        pairs = np.ascontiguousarray(pairs, dtype=np.int64)  # (X, 2) of (s, q)
+    def __init__(self, base: LabeledPomdp, dfa: Dfa, pairs, name: str = ""):
+        if tuple(base.atoms) != tuple(dfa.atoms):
+            raise ModelError(f"model atoms {base.atoms} do not match DFA atoms {dfa.atoms}")
+        pairs = np.ascontiguousarray(pairs, dtype=np.int64)
+        S, Q, X = base.n_states, dfa.n_states, len(pairs)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or np.any((pairs < 0) | (pairs >= (S, Q))):
+            raise ModelError(f"product pairs must be (s, q) with 0 <= s < {S}, 0 <= q < {Q}")
+        s, q = pairs.T
+        column = np.full((S, Q), -1)
+        column[s, q] = np.arange(X)  # product index of each kept pair
+        if np.count_nonzero(column >= 0) != X:
+            raise ModelError("duplicate product pair")
+        labels = base.labels[s]
+        qnext = dfa.delta[q, labels]  # automaton state after reading L(s_x)
+        successor = column[:, qnext].T  # (X, S): index of (s', qnext[x]), -1 if not kept
+        x, s2 = np.nonzero(successor >= 0)
+        P = np.zeros((X, base.n_actions, X))
+        P[x, :, successor[x, s2]] = base.P[s[x], :, s2]
+        varpi = np.where(q == dfa.initial, base.varpi[s], 0.0)
         super().__init__(name or f"{base.name}*{dfa.name}",
-                         [f"{base.states[s]}|q{q}" for s, q in pairs.tolist()],
-                         base.actions, base.observations, P, Z, varpi, base.atoms,
-                         base.labels[pairs[:, 0]], rewards, base.stopping)
-        self.base = base
-        self.dfa = dfa
-        self.pairs = pairs
-        self.r_final = np.ascontiguousarray(r_final, dtype=np.float64)
-        # delta(q, L(s)) in F: a run stopping at x = (s, q) still reads L(s)
-        self.accepts_at_stop = dfa.accepts_mask()[dfa.delta[pairs[:, 1], self.labels]]
+                         [f"{base.states[i]}|q{j}" for i, j in pairs.tolist()],
+                         base.actions, base.observations, P, base.Z[s], varpi, base.atoms,
+                         labels, base.rewards[s], base.stopping)
+        self.base, self.dfa, self.pairs = base, dfa, pairs
+        accepting = dfa.accepts_mask()
+        self.r_final = accepting[q].astype(np.float64)
+        self.accepts_at_stop = accepting[qnext]
         for arr in (self.pairs, self.r_final, self.accepts_at_stop):
             arr.setflags(write=False)
+        self.validate(atol=LOAD_ATOL)  # product rows are the base's rows
 
     def final_satisfied(self, traj: Trajectory) -> bool:
         """Whether a run on this product satisfies the spec."""
@@ -69,39 +88,17 @@ def constrained_product(model: LabeledPomdp, spec_text: str) -> ProductPomdp:
 
 
 def build_product(model: LabeledPomdp, dfa: Dfa, name: str = "") -> ProductPomdp:
-    """Dense product construction; no pruning (see prune_unreachable)."""
-    if tuple(model.atoms) != tuple(dfa.atoms):
-        raise ModelError(f"model atoms {model.atoms} do not match DFA atoms {dfa.atoms}")
-    S, A, Q = model.n_states, model.n_actions, dfa.n_states
-    X = S * Q
-    pairs = np.stack(np.divmod(np.arange(X), Q), axis=1)  # x = s*Q + q
-
-    # q' = delta(q, L(s)) depends only on the source pair, so each product row
-    # is the base row placed at columns s'*Q + q'
-    qnext = dfa.delta[:, model.labels].T  # (S, Q): successor automaton state per source pair
-    P = np.zeros((X, A, X))
-    for s in range(S):
-        for q in range(Q):
-            x = s * Q + q
-            cols = np.arange(S) * Q + qnext[s, q]
-            P[x, :, cols] = model.P[s].T  # (A, S) transposed into column slots
-
-    Z = model.Z[pairs[:, 0]]
-    varpi = np.zeros(X)
-    varpi[np.arange(S) * Q + dfa.initial] = model.varpi
-    rewards = model.rewards[pairs[:, 0]]
-    accepting = dfa.accepts_mask()
-    r_final = accepting[pairs[:, 1]].astype(np.float64)
-    prod = ProductPomdp(model, dfa, pairs, P, Z, varpi, rewards, r_final, name=name)
-    prod.validate(atol=LOAD_ATOL)  # product rows are the base's rows
-    return prod
+    """Dense product over all S*Q pairs, x = s*Q + q; no pruning (see prune_unreachable)."""
+    X = model.n_states * dfa.n_states
+    pairs = np.stack(np.divmod(np.arange(X), dfa.n_states), axis=1)
+    return ProductPomdp(model, dfa, pairs, name=name)
 
 
 def prune_unreachable(prod: ProductPomdp) -> ProductPomdp:
     """Drop product states unreachable from the initial belief support.
 
-    Purely a solver-cost optimization; dynamics, rewards, and channels are
-    restricted, never altered.
+    Purely a solver-cost optimization: the kept pairs' dynamics, rewards, and
+    channels are those of the full product, never altered.
     """
     X = prod.n_states
     reach = np.zeros(X, dtype=bool)
@@ -112,15 +109,9 @@ def prune_unreachable(prod: ProductPomdp) -> ProductPomdp:
         nxt = np.nonzero(support[frontier].any(axis=0) & ~reach)[0]
         reach[nxt] = True
         frontier = nxt
-    keep = np.nonzero(reach)[0]
-    if keep.size == X:
+    if reach.all():
         return prod
-    P = prod.P[np.ix_(keep, np.arange(prod.n_actions), keep)]
-    pruned = ProductPomdp(prod.base, prod.dfa, prod.pairs[keep], P,
-                          prod.Z[keep], prod.varpi[keep], prod.rewards[keep],
-                          prod.r_final[keep], name=prod.name)
-    pruned.validate(atol=LOAD_ATOL)
-    return pruned
+    return ProductPomdp(prod.base, prod.dfa, prod.pairs[reach], name=prod.name)
 
 
 # --------------------------------------------------------------------------
@@ -141,16 +132,24 @@ def product_to_dict(prod: ProductPomdp) -> dict:
 
 
 def product_from_dict(doc: dict) -> ProductPomdp:
-    prov = doc.get("provenance")
-    if prov is None:
-        raise ModelError("product document missing provenance")
-    base = model_from_dict(prov["base_model"])
-    dfa = dfa_from_dict(prov["dfa_doc"])
+    """The product fixed by the document's provenance (base model, DFA, pairs);
+    ModelError unless the document's own tables and final_reward are that product's."""
+    prov = _typed(_typed(doc, dict, "a product document").get("provenance"), dict,
+                  "product provenance")
+    for fieldname in ("base_model", "dfa_doc", "pairs"):
+        if fieldname not in prov:
+            raise ModelError(f"product provenance missing field {fieldname!r}")
+    pairs = prov["pairs"]
+    if not (isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(type(i) is int for i in p) for p in pairs)):
+        raise ModelError("provenance pairs must be a list of [s, q] integer pairs")
     view = model_from_dict({k: v for k, v in doc.items() if k not in ("final_reward", "provenance")})
-    pairs = np.asarray(prov["pairs"], dtype=np.int64)
-    r_final = np.array([float(doc["final_reward"][name]) for name in view.states])
-    return ProductPomdp(base, dfa, pairs, view.P, view.Z, view.varpi, view.rewards,
-                        r_final, name=view.name)
+    base = model_from_dict(prov["base_model"])
+    dfa = dfa_from_dict(_typed(prov["dfa_doc"], dict, "provenance dfa_doc"))
+    prod = ProductPomdp(base, dfa, np.array(pairs, dtype=np.int64), name=view.name)
+    if not view.equals(prod) or doc.get("final_reward") != dict(zip(prod.states, prod.r_final)):
+        raise ModelError("product document tables or final_reward disagree with its provenance")
+    return prod
 
 
 def save_product(prod: ProductPomdp, path) -> None:
@@ -161,4 +160,8 @@ def save_product(prod: ProductPomdp, path) -> None:
 
 def load_product(path) -> ProductPomdp:
     with open(path) as fh:
-        return product_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ModelError(f"product file {path} is not valid JSON: {exc}") from None
+    return product_from_dict(doc)

@@ -80,6 +80,17 @@ def test_solve_validation_errors(tmp_path, model_file):
                "--out", str(tmp_path / "s2")) == 3
 
 
+@pytest.mark.parametrize("flag", [
+    ("--n-beliefs", "0"), ("--tol", "0"), ("--tol", "-1"), ("--eta", "abc"), ("--eta", "-1"),
+    ("--B", "nan"), ("--B", "inf"), ("--eta", "nan"), ("--eta", "inf"), ("--max-rounds", "-5"),
+], ids=lambda flag: "".join(flag).lstrip("-"))
+def test_bad_solver_flag_is_an_input_error(flag, tmp_path, model_file, capsys):
+    # the bad flag comes last, so it overrides the valid --B 4 (argparse keeps the last value)
+    assert run("solve", "--model", model_file, "--spec", "F g", "--threshold", "0.75",
+               "--B", "4", "--K", "2", "--simu", "5", "--out", str(tmp_path / "s"), *flag) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_solve_writes_artifacts_and_manifest(tmp_path, model_file):
     out = tmp_path / "s"
     assert run("solve", "--model", model_file, "--spec", "F g", "--threshold", "0.75",

@@ -1,6 +1,8 @@
-"""Source hygiene: every name a library module imports is used in it.
+"""Source hygiene: every name a library module imports is used in it, and only
+``product.py`` constructs a ``ProductPomdp``.
 
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt from the import check: its imports are the package's
+re-exports.
 """
 
 import ast
@@ -59,3 +61,28 @@ def test_the_check_sees_an_unused_import():
                      "def f(x: 'os.PathLike') -> 'zeros':\n    return array(['json'])\n")
     used = used_names(tree)
     assert [name for name, _ in imported_names(tree) if name not in used] == ["json"]
+
+
+def product_constructions(tree):
+    """Lines that call ``ProductPomdp(...)``, by bare or dotted name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "ProductPomdp":
+                yield node.lineno
+
+
+def test_only_product_module_constructs_products():
+    """A product is fixed by (base, dfa, pairs): build_product, prune_unreachable
+    and product_from_dict are the only ways to make one."""
+    calls = {path.name: lines for path in sorted(SRC.glob("*.py")) if path.name != "product.py"
+             and (lines := list(product_constructions(ast.parse(path.read_text()))))}
+    assert not calls, f"ProductPomdp( called outside product.py: {calls}"
+
+
+def test_the_check_sees_a_product_construction():
+    tree = ast.parse("from ltlfplan import product\nfrom ltlfplan.product import ProductPomdp\n"
+                     "a = ProductPomdp(m, d, pairs)\nb = product.ProductPomdp(m, d, pairs)\n"
+                     "c = isinstance(a, ProductPomdp)\n")
+    assert list(product_constructions(tree)) == [3, 4]

@@ -1,9 +1,12 @@
+import json
 from collections import deque
 
 import numpy as np
 import pytest
 
-from ltlfplan.benchmarks import PRESETS, build_instance, make_model
+from ltlfplan.benchmarks import (
+    PRESETS, build_instance, make_model, make_spec, random_tiny_model,
+)
 from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import TRUE, Word, evaluate_trace, parse_formula
 from ltlfplan.pomdp import (
@@ -47,21 +50,57 @@ def test_constrained_product_is_the_hand_pipeline():
     assert np.array_equal(got.r_final, want.r_final)
 
 
-def test_product_size_and_transition_rule():
+def twostate_full():
     model = uninformative_two_state()
-    dfa = compile_minimal_dfa(parse_formula("F a"), atoms=model.atoms)
-    prod = build_product(model, dfa)
-    assert prod.n_states == model.n_states * dfa.n_states
-    Q = dfa.n_states
-    for s in range(model.n_states):
-        for q in range(Q):
-            x = s * Q + q
-            q_next = int(dfa.delta[q, model.labels[s]])
-            for a in range(model.n_actions):
-                for s2 in range(model.n_states):
-                    for q2 in range(Q):
-                        want = model.P[s, a, s2] if q2 == q_next else 0.0
-                        assert prod.P[x, a, s2 * Q + q2] == want
+    return build_product(model, compile_minimal_dfa(parse_formula("F a"), atoms=model.atoms))
+
+
+def tiny_fixed_horizon_pruned():
+    model = random_tiny_model(12345, n_states=3, n_actions=2, n_obs=2, horizon=6, n_atoms=2)
+    return constrained_product(model, "a U b")
+
+
+TRANSITION_RULE_PRODUCTS = {
+    "twostate_full": twostate_full,
+    "m7_phi6_pruned": lambda: constrained_product(make_model("M7"), make_spec("phi6")),
+    "tiny_fixed_pruned": tiny_fixed_horizon_pruned,
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSITION_RULE_PRODUCTS))
+def test_product_size_and_transition_rule(case):
+    prod = TRANSITION_RULE_PRODUCTS[case]()
+    model, dfa = prod.base, prod.dfa
+    dense = model.n_states * dfa.n_states
+    assert prod.n_states == dense if case.endswith("_full") else prod.n_states < dense
+    s, q = prod.pairs.T.tolist()
+    for x in range(prod.n_states):
+        q_next = int(dfa.delta[q[x], model.labels[s[x]]])
+        for a in range(model.n_actions):
+            for y in range(prod.n_states):
+                want = model.P[s[x], a, s[y]] if q[y] == q_next else 0.0
+                assert prod.P[x, a, y] == want
+
+
+@pytest.mark.parametrize("row", sorted(PRESETS))
+def test_pruned_product_is_the_full_product_restricted(row):
+    """Pruning keeps pairs only: the pruned product's tables are the full
+    product's, restricted by np.ix_ to the kept indices, bit for bit."""
+    model = make_model(row)
+    text = make_spec(PRESETS[row].spec)
+    dfa = compile_minimal_dfa(parse_formula(text, atoms=model.atoms), atoms=model.atoms,
+                              name=text)
+    full = build_product(model, dfa)
+    pruned = prune_unreachable(full)
+    keep = pruned.pairs[:, 0] * dfa.n_states + pruned.pairs[:, 1]  # full index s*Q + q
+    assert np.all(np.diff(keep) > 0)
+    assert pruned.states == [full.states[x] for x in keep]
+    restricted = {"P": full.P[np.ix_(keep, np.arange(full.n_actions), keep)]}
+    for field in ("Z", "varpi", "rewards", "labels", "pairs", "r_final", "accepts_at_stop"):
+        restricted[field] = getattr(full, field)[keep]
+    for field, want in restricted.items():
+        got = getattr(pruned, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
 
 
 def test_product_with_trivial_spec_is_isomorphic():
@@ -237,3 +276,59 @@ def test_product_dict_requires_provenance(m1_product):
     del doc["provenance"]
     with pytest.raises(ModelError):
         product_from_dict(doc)
+
+
+def _swap_pairs(doc):
+    pairs = doc["provenance"]["pairs"]
+    pairs[0], pairs[1] = pairs[1], pairs[0]
+
+
+def _duplicate_pair(doc):
+    pairs = doc["provenance"]["pairs"]
+    pairs[1] = list(pairs[0])
+
+
+def _q_out_of_range(doc):
+    doc["provenance"]["pairs"][0][1] = 99
+
+
+def _pairs_string(doc):
+    doc["provenance"]["pairs"] = "0,0"
+
+
+def _edit_transition(doc):
+    row = next(r for r in doc["transitions"] if len(r["next"]) == 2)
+    row["next"] = dict(zip(row["next"], reversed(list(row["next"].values()))))
+
+
+def _flip_final_reward(doc):
+    name = next(iter(doc["final_reward"]))
+    doc["final_reward"][name] = 1 - doc["final_reward"][name]
+
+
+MALFORMED_PRODUCTS = {
+    "swapped_pairs": _swap_pairs,
+    "duplicated_pair": _duplicate_pair,
+    "q_out_of_range": _q_out_of_range,
+    "pairs_string": _pairs_string,
+    "missing_pairs": lambda doc: doc["provenance"].pop("pairs"),
+    "edited_transition": _edit_transition,
+    "edited_final_reward": _flip_final_reward,
+    "missing_final_reward": lambda doc: doc.pop("final_reward"),
+    "invalid_json": None,  # the document's text cut short
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PRODUCTS))
+def test_malformed_product_document_is_a_model_error(case, tmp_path):
+    path = tmp_path / "product.json"
+    doc = product_to_dict(twostate_full())
+    path.write_text(json.dumps(doc))
+    assert load_product(path).equals(product_from_dict(doc))  # the unedited document loads
+    if MALFORMED_PRODUCTS[case] is None:
+        path.write_text(json.dumps(doc)[:-1])
+    else:
+        MALFORMED_PRODUCTS[case](doc)
+        path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError):
+        load_product(path)
