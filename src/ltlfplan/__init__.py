@@ -20,8 +20,8 @@ from .dfa import (
 )
 from .pomdp import (
     ImpossibleObservationError, LabeledPomdp, ModelError, StoppingModel, Trajectory,
-    belief_init, belief_update, derive_seed, load_model, make_rng, sample_trajectory,
-    save_model,
+    belief_init, belief_update, derive_seed, load_model, make_rng, predict,
+    sample_trajectory, save_model,
 )
 from .product import (
     ProductPomdp, build_product, constrained_product, load_product, prune_unreachable,

@@ -1,20 +1,25 @@
 """Gridworld benchmark models M1-M9, task specs phi1-phi6, and experiment presets.
 
-Coordinates are (col, row) with (0,0) at the bottom-left; the agent starts at
-(0,0) in every model.  Stochastic motion moves in the intended direction with
-probability 0.95 and otherwise uniformly over the three directions not
-opposite to it (the intended one included); off-grid moves stay in place; the
-dedicated stay action is exact.  The noisy location channel reports a uniform
-in-grid orthogonal neighbor of the true cell.  Proximity models (M8, M9) have
-deterministic motion, a hidden object at one of two candidate cells with a
-uniform prior, and a far/close sensor: 'F' with probability 1 beyond
-Manhattan distance 1, else 'C' with the candidate's detection probability.
+A grid is a six-field table entry (``GridSpec``) and one builder
+(``build_grid_model``) makes every model from it.  Coordinates are (col, row)
+with (0,0) at the bottom-left; the agent starts at ``START`` = (0,0) in every
+model.  A grid without hidden objects has stochastic motion: the intended
+move with probability ``P_INTEND`` = 0.95, otherwise uniformly over the three
+directions not opposite to it (the intended one included); off-grid moves
+stay in place, and the dedicated stay action is exact.  Its noisy location
+channel reports a uniform in-grid orthogonal neighbor of the true cell.  A
+grid with hidden objects (M8, M9) has deterministic motion and one hypothesis
+per candidate cell, with a uniform prior; the object carries the atom
+``OBJECT_ATOM`` = 'b', and a far/close sensor reports 'F' with probability 1
+beyond Manhattan distance 1 of the hypothesised cell, else 'C' with that
+candidate's detection probability.
 
-Per-step cell rewards are the tabulated values scaled by (1 - gamma) so that
-cumulative returns under geometric stopping land on the tabulated scale;
-without the scaling no bounded multiplier could trade reward against
-constraint satisfaction.  Letter-cell positions not fixed by the model
-descriptions are module defaults and can be overridden per call.
+Per-step cell rewards are the tabulated values scaled by (1 - ``GAMMA``),
+``GAMMA`` = 0.99 being the geometric stopping discount, so that cumulative
+returns under geometric stopping land on the tabulated scale; without the
+scaling no bounded multiplier could trade reward against constraint
+satisfaction.  Letter-cell positions not fixed by the model descriptions are
+module defaults and can be overridden per call.
 
 The module also bundles the small verification instances used by the test
 suite (a 3-state chain, a fully observable 2-state constrained MDP, and
@@ -23,8 +28,9 @@ seeded random tiny POMDPs).
 
 from __future__ import annotations
 
+import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +50,10 @@ SPEC_STRINGS = {
     "phi6": "F a & G ((a & X b -> F c) & (a & X !b -> F d))",
 }
 
-MODEL_NAMES = tuple(f"M{i}" for i in range(1, 10))
+GAMMA = 0.99
+P_INTEND = 0.95
+START = (0, 0)
+OBJECT_ATOM = "b"
 
 ACTIONS = ("north", "south", "east", "west", "stay")
 _MOVES = {"north": (0, 1), "south": (0, -1), "east": (1, 0), "west": (-1, 0)}
@@ -62,194 +71,106 @@ def make_spec(name: str) -> str:
     return SPEC_STRINGS[name]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridSpec:
     name: str
     width: int
     height: int
-    labels: dict = field(default_factory=dict)       # (x, y) -> tuple of atom names
-    rewards: dict = field(default_factory=dict)      # (x, y) -> tabulated per-step value
-    motion: str = "stochastic"
-    p_intend: float = 0.95
-    observation: str = "noisy_location"
-    object_atom: str = "b"
-    object_cells: tuple = ()                          # proximity candidates
-    close_probs: tuple = ()                           # P('C' | adjacent) per candidate
-    start: tuple = (0, 0)
-    gamma: float = 0.99
-
-    def cells(self):
-        return [(x, y) for y in range(self.height) for x in range(self.width)]
-
-    def cell_index(self, cell) -> int:
-        x, y = cell
-        return y * self.width + x
-
-    def in_grid(self, cell) -> bool:
-        x, y = cell
-        return 0 <= x < self.width and 0 <= y < self.height
+    labels: dict                # (x, y) -> tuple of atom names
+    rewards: dict               # (x, y) -> tabulated per-step value
+    objects: tuple = ()         # ((x, y), P('C' | adjacent)) per hidden-object candidate
 
 
-def _check_cells(spec: GridSpec):
-    for cell in list(spec.labels) + list(spec.rewards) + list(spec.object_cells) + [spec.start]:
-        if not spec.in_grid(cell):
-            raise ValueError(f"cell {cell} outside the {spec.width}x{spec.height} grid of {spec.name}")
-
-
-def _motion_row(spec: GridSpec, cell, action: str, index) -> np.ndarray:
-    row = np.zeros(len(index))
-
-    def land(target, mass):
-        row[index[target if spec.in_grid(target) else cell]] += mass
-
-    if action == "stay":
-        row[index[cell]] = 1.0
-        return row
-    x, y = cell
-    if spec.motion == "deterministic":
-        dx, dy = _MOVES[action]
-        land((x + dx, y + dy), 1.0)
-        return row
-    slip = (1.0 - spec.p_intend) / 3.0
-    for direction in _LATERAL[action]:
-        dx, dy = _MOVES[direction]
-        land((x + dx, y + dy), spec.p_intend + slip if direction == action else slip)
-    return row
-
-
-def _neighbor_obs_row(spec: GridSpec, cell, index) -> np.ndarray:
-    x, y = cell
-    neighbors = [c for c in ((x, y + 1), (x, y - 1), (x + 1, y), (x - 1, y)) if spec.in_grid(c)]
-    row = np.zeros(len(index))
-    for c in neighbors:
-        row[index[c]] = 1.0 / len(neighbors)
-    return row
+def _motion(cells, index, p_intend: float) -> np.ndarray:
+    """(C, A, C) cell motion; p_intend = 1 is deterministic."""
+    slip = (1.0 - p_intend) / 3.0
+    M = np.zeros((len(cells), len(ACTIONS), len(cells)))
+    for c, (x, y) in enumerate(cells):
+        M[c, ACTIONS.index("stay"), c] = 1.0
+        for a, action in enumerate(ACTIONS[:-1]):
+            for direction in _LATERAL[action]:
+                dx, dy = _MOVES[direction]
+                M[c, a, index.get((x + dx, y + dy), c)] += \
+                    p_intend + slip if direction == action else slip
+    return M
 
 
 def build_grid_model(spec: GridSpec) -> LabeledPomdp:
-    _check_cells(spec)
-    unit = 1.0 - spec.gamma
-    cells = spec.cells()
-    cell_index = {c: i for i, c in enumerate(cells)}
-    atom_set = {spec.object_atom} if spec.observation == "proximity" else set()
-    for names in spec.labels.values():
-        atom_set.update(names)
-    atoms = tuple(sorted(atom_set))
-    atom_bit = {a: i for i, a in enumerate(atoms)}
+    """States are cells x hypotheses (one hypothesis per object candidate, one
+    when there are none); only Z and the state names depend on the channel."""
+    cells = [(x, y) for y in range(spec.height) for x in range(spec.width)]
+    index = {cell: i for i, cell in enumerate(cells)}
+    object_cells = [cell for cell, _ in spec.objects]
+    for cell in [*spec.labels, *spec.rewards, *object_cells, START]:
+        if cell not in index:
+            raise ValueError(f"cell {cell} outside the {spec.width}x{spec.height} grid of {spec.name}")
+    C, H = len(cells), max(1, len(spec.objects))
+    atoms = tuple(sorted({name for names in spec.labels.values() for name in names}
+                         | ({OBJECT_ATOM} if spec.objects else set())))
+    bit = {name: 1 << i for i, name in enumerate(atoms)}
 
-    if spec.observation == "proximity":
-        if len(spec.object_cells) != len(spec.close_probs) or not spec.object_cells:
-            raise ValueError("proximity models need matching object_cells and close_probs")
-        n_h = len(spec.object_cells)
-        states = [f"({x},{y})|obj{h}" for (x, y) in cells for h in range(n_h)]
+    # per-cell rows, repeated over hypotheses
+    cell_labels = np.array([sum(bit[n] for n in set(spec.labels.get(cell, ()))) for cell in cells])
+    cell_rewards = np.zeros(C)
+    for cell, value in spec.rewards.items():
+        cell_rewards[index[cell]] = value * (1.0 - GAMMA)
+    at_start = np.zeros(C)
+    at_start[index[START]] = 1.0
+    labels = np.repeat(cell_labels, H)
+    for h, cell in enumerate(object_cells):
+        labels[index[cell] * H + h] |= bit[OBJECT_ATOM]
+    rewards = np.repeat(cell_rewards, H)[:, None] * np.ones(len(ACTIONS))
+    varpi = np.repeat(at_start, H) / H
+    M = _motion(cells, index, 1.0 if spec.objects else P_INTEND)
+    P = np.einsum("cat,hk->chatk", M, np.eye(H)).reshape(C * H, len(ACTIONS), C * H)
+
+    if spec.objects:
+        states = [f"({x},{y})|obj{h}" for x, y in cells for h in range(H)]
         observations = ["F", "C"]
-
-        def state_id(cell, h):
-            return cell_index[cell] * n_h + h
-
-        S = len(states)
-        P = np.zeros((S, len(ACTIONS), S))
-        for cell in cells:
-            for ai, action in enumerate(ACTIONS):
-                base_row = _motion_row(spec, cell, action, cell_index)
-                for h in range(n_h):
-                    for tgt, mass in zip(cells, base_row):
-                        if mass:
-                            P[state_id(cell, h), ai, state_id(tgt, h)] += mass
-        Z = np.zeros((S, 2))
-        for cell in cells:
-            for h, (obj, close_p) in enumerate(zip(spec.object_cells, spec.close_probs)):
-                dist = abs(cell[0] - obj[0]) + abs(cell[1] - obj[1])
-                p_close = close_p if dist <= 1 else 0.0
-                Z[state_id(cell, h)] = (1.0 - p_close, p_close)
-        varpi = np.zeros(S)
-        for h in range(n_h):
-            varpi[state_id(spec.start, h)] = 1.0 / n_h
-        labels = np.zeros(S, dtype=np.int64)
-        for cell in cells:
-            for h in range(n_h):
-                mask = 0
-                for name in spec.labels.get(cell, ()):
-                    mask |= 1 << atom_bit[name]
-                if cell == spec.object_cells[h]:
-                    mask |= 1 << atom_bit[spec.object_atom]
-                labels[state_id(cell, h)] = mask
-        rewards = np.zeros((S, len(ACTIONS)))
-        for cell, value in spec.rewards.items():
-            for h in range(n_h):
-                rewards[state_id(cell, h), :] = value * unit
+        Z = np.zeros((C * H, 2))
+        for c, (x, y) in enumerate(cells):
+            for h, ((ox, oy), p_close) in enumerate(spec.objects):
+                close = p_close if abs(x - ox) + abs(y - oy) <= 1 else 0.0
+                Z[c * H + h] = (1.0 - close, close)
     else:
-        states = [f"({x},{y})" for (x, y) in cells]
+        states = [f"({x},{y})" for x, y in cells]
         observations = list(states)
-        S = len(states)
-        P = np.zeros((S, len(ACTIONS), S))
-        for cell in cells:
-            for ai, action in enumerate(ACTIONS):
-                P[cell_index[cell], ai] = _motion_row(spec, cell, action, cell_index)
-        Z = np.vstack([_neighbor_obs_row(spec, cell, cell_index) for cell in cells])
-        varpi = np.zeros(S)
-        varpi[cell_index[spec.start]] = 1.0
-        labels = np.zeros(S, dtype=np.int64)
-        for cell, names in spec.labels.items():
-            mask = 0
-            for name in names:
-                mask |= 1 << atom_bit[name]
-            labels[cell_index[cell]] = mask
-        rewards = np.zeros((S, len(ACTIONS)))
-        for cell, value in spec.rewards.items():
-            rewards[cell_index[cell], :] = value * unit
+        Z = np.zeros((C, C))
+        for c, (x, y) in enumerate(cells):
+            near = [index[n] for n in ((x, y + 1), (x, y - 1), (x + 1, y), (x - 1, y)) if n in index]
+            Z[c, near] = 1.0 / len(near)
 
     model = LabeledPomdp(spec.name, states, list(ACTIONS), observations, P, Z, varpi,
-                         atoms, labels, rewards, StoppingModel.geometric(spec.gamma))
+                         atoms, labels, rewards, StoppingModel.geometric(GAMMA))
     model.validate()
     return model
 
 
-def grid_spec(name: str) -> GridSpec:
-    if name == "M1":
-        return GridSpec("M1", 4, 4, labels={(1, 2): ("b",), (3, 3): ("a",)},
-                        rewards={(0, 3): 2.0, (3, 3): 1.0})
-    if name == "M2":
-        return GridSpec("M2", 8, 8,
-                        labels={(7, 7): ("a",), (4, 4): ("b",), (2, 6): ("b",)},
-                        rewards={(1, 6): 3.0, (4, 3): 3.0, (7, 7): 1.0})
-    if name == "M3":
-        return GridSpec("M3", 4, 4, labels={(3, 0): ("a",), (3, 3): ("b",)},
-                        rewards={(3, 3): 1.0})
-    if name == "M4":
-        return GridSpec("M4", 4, 4,
-                        labels={(3, 0): ("a",), (0, 3): ("b",), (3, 3): ("c",)},
-                        rewards={(3, 3): 1.0})
-    if name == "M5":
-        return GridSpec("M5", 4, 4, labels={(3, 0): ("a",), (3, 3): ("b",)},
-                        rewards={(3, 3): 1.0})
-    if name == "M6":
-        return GridSpec("M6", 4, 4,
-                        labels={(3, 0): ("a",), (3, 3): ("b",), (0, 3): ("c",), (2, 3): ("d",)},
-                        rewards={(3, 0): 1.0, (3, 3): 2.0})
-    if name == "M7":
-        return GridSpec("M7", 4, 4,
-                        labels={(2, 0): ("a",), (2, 1): ("b",), (3, 0): ("c",), (0, 3): ("d",)},
-                        rewards={(3, 0): 5.0, (0, 3): 2.0})
-    if name == "M8":
-        return GridSpec("M8", 4, 4, labels={(3, 3): ("a",)},
-                        rewards={(3, 0): 2.0, (0, 3): 4.0},
-                        motion="deterministic", observation="proximity",
-                        object_cells=((3, 0), (0, 3)), close_probs=(0.9, 0.1))
-    if name == "M9":
-        return GridSpec("M9", 4, 4, labels={(3, 3): ("a",)},
-                        rewards={(0, 0): 2.0},
-                        motion="deterministic", observation="proximity",
-                        object_cells=((3, 0), (0, 3)), close_probs=(0.9, 0.1))
-    raise KeyError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
+# M8 and M9 hide the object at one of two corners, detected from an adjacent cell
+# with probability 0.9 at (3, 0) and 0.1 at (0, 3)
+_PROXIMITY = (((3, 0), 0.9), ((0, 3), 0.1))
+GRIDS = {
+    "M1": GridSpec("M1", 4, 4, {(1, 2): ("b",), (3, 3): ("a",)}, {(0, 3): 2.0, (3, 3): 1.0}),
+    "M2": GridSpec("M2", 8, 8, {(7, 7): ("a",), (4, 4): ("b",), (2, 6): ("b",)},
+                   {(1, 6): 3.0, (4, 3): 3.0, (7, 7): 1.0}),
+    "M3": GridSpec("M3", 4, 4, {(3, 0): ("a",), (3, 3): ("b",)}, {(3, 3): 1.0}),
+    "M4": GridSpec("M4", 4, 4, {(3, 0): ("a",), (0, 3): ("b",), (3, 3): ("c",)}, {(3, 3): 1.0}),
+    "M5": GridSpec("M5", 4, 4, {(3, 0): ("a",), (3, 3): ("b",)}, {(3, 3): 1.0}),
+    "M6": GridSpec("M6", 4, 4, {(3, 0): ("a",), (3, 3): ("b",), (0, 3): ("c",), (2, 3): ("d",)},
+                   {(3, 0): 1.0, (3, 3): 2.0}),
+    "M7": GridSpec("M7", 4, 4, {(2, 0): ("a",), (2, 1): ("b",), (3, 0): ("c",), (0, 3): ("d",)},
+                   {(3, 0): 5.0, (0, 3): 2.0}),
+    "M8": GridSpec("M8", 4, 4, {(3, 3): ("a",)}, {(3, 0): 2.0, (0, 3): 4.0}, _PROXIMITY),
+    "M9": GridSpec("M9", 4, 4, {(3, 3): ("a",)}, {(0, 0): 2.0}, _PROXIMITY),
+}
+MODEL_NAMES = tuple(GRIDS)
 
 
 def make_model(name: str, **overrides) -> LabeledPomdp:
     """Build one of M1-M9; keyword overrides replace GridSpec fields."""
-    spec = grid_spec(name)
-    if overrides:
-        spec = replace(spec, **overrides)
-    return build_grid_model(spec)
+    if name not in GRIDS:
+        raise KeyError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
+    return build_grid_model(replace(GRIDS[name], **overrides))
 
 
 # --------------------------------------------------------------------------
@@ -283,32 +204,26 @@ CSV_COLUMNS = ["model", "spec", "S", "Q", "r_hat", "p_hat", "threshold", "B", "e
                "K", "simu", "seed", "t_solve_s", "t_simu_s", "t_total_s", "error"]
 
 
-def build_instance(model_name: str, spec_name: str | None = None):
-    """Model + compiled DFA + pruned product for a preset row."""
-    model = make_model(model_name)
-    prod = constrained_product(model, make_spec(spec_name or PRESETS[model_name].spec))
-    return model, prod.dfa, prod
+def build_instance(model_name: str) -> ProductPomdp:
+    """The pruned product of a preset row; its model and DFA are ``base`` and ``dfa``."""
+    return constrained_product(make_model(model_name), make_spec(PRESETS[model_name].spec))
 
 
-def run_experiment(model_name: str, spec_name: str | None = None, *, K: int | None = None,
-                   simu: int | None = None, threshold: float | None = None,
-                   B: float | None = None, eta: float | str | None = None,
-                   seed: int = 0, cfg: SolverConfig | None = None,
-                   eval_rollouts: int = 200):
+def run_experiment(model_name: str, *, K: int | None = None, simu: int | None = None,
+                   seed: int = 0, cfg: SolverConfig | None = None, eval_rollouts: int = 200):
     """One benchmark row: compile, build product, EG-solve, evaluate the mixture.
 
     Returns (row dict in CSV_COLUMNS layout, EGResult, product).
     """
     preset = PRESETS[model_name]
-    spec_name = spec_name or preset.spec
     t0 = time.perf_counter()
-    model, dfa, prod = build_instance(model_name, spec_name)
+    prod = build_instance(model_name)
     problem = ConstrainedProblem(
         product=prod,
-        threshold=preset.threshold if threshold is None else threshold,
-        B=preset.B if B is None else B,
+        threshold=preset.threshold,
+        B=preset.B,
         K=preset.K if K is None else K,
-        eta=preset.eta if eta is None else eta,
+        eta=preset.eta,
         simu=preset.simu if simu is None else simu,
         base_seed=seed,
     )
@@ -319,8 +234,8 @@ def run_experiment(model_name: str, spec_name: str | None = None, *, K: int | No
                         seed=derive_seed(problem.base_seed, 0xE7A1))
     t_eval = time.perf_counter() - tic
     row = {
-        "model": model_name, "spec": spec_name,
-        "S": model.n_states, "Q": dfa.n_states,
+        "model": model_name, "spec": preset.spec,
+        "S": prod.base.n_states, "Q": prod.dfa.n_states,
         "r_hat": final.r_hat, "p_hat": final.p_hat,
         "threshold": problem.threshold, "B": problem.B, "eta": result.eta,
         "K": problem.K, "simu": problem.simu, "seed": seed,
@@ -358,8 +273,6 @@ def render_trajectory_ascii(prod: ProductPomdp, traj) -> str:
     Letter cells are shown lowercase, the agent as '@' (uppercase letter when
     on a labeled cell); non-grid models fall back to the tabular dump.
     """
-    import re
-
     coords = []
     for name in prod.base.states:
         m = re.match(r"\((\d+),(\d+)\)", name)
@@ -413,7 +326,7 @@ def chain3(gamma: float = 0.9):
     return model, "F a"
 
 
-def twostate_constrained(gamma: float = 0.9, home_reward: float = 0.3):
+def twostate_constrained(gamma: float = 0.9):
     """Fully observable 2-state/2-action constrained MDP; spec F g.
 
     Staying home farms reward but never satisfies F g; going visits the goal
@@ -428,7 +341,7 @@ def twostate_constrained(gamma: float = 0.9, home_reward: float = 0.3):
     P[1, 1] = (1.0, 0.0)
     Z = np.eye(2)
     rewards = np.zeros((2, 2))
-    rewards[0, 0] = home_reward
+    rewards[0, 0] = 0.3
     model = LabeledPomdp("twostate", states, ["stay", "go"], states, P, Z,
                          np.array([1.0, 0.0]), ("g",), np.array([0, 1]), rewards,
                          StoppingModel.geometric(gamma))

@@ -212,6 +212,8 @@ def cmd_bench(args) -> int:
     unknown = [r for r in rows if r not in PRESETS]
     if unknown:
         raise ValidationFailure(f"unknown benchmark rows {unknown}; choose from {MODEL_NAMES}")
+    if args.K_scale is not None and not 0.0 < args.K_scale < np.inf:
+        raise ValidationFailure(f"--K-scale must be a positive finite number, got {args.K_scale}")
     out = _out_dir(args)
     if args.dry_run:
         for name in rows:

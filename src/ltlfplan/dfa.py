@@ -302,8 +302,7 @@ def dfa_accepts(dfa: Dfa, word: Word) -> bool:
 
 
 def compile_dfa(formula: Formula, atoms: Sequence[str] | None = None,
-                max_states: int = DEFAULT_STATE_BUDGET, name: str = "",
-                max_atoms: int = MAX_ATOMS) -> Dfa:
+                max_states: int = DEFAULT_STATE_BUDGET, name: str = "") -> Dfa:
     """Breadth-first progression fixpoint from the canonical form of the formula.
 
     Each state is a distinct canonical key; delta(state, letter) is the
@@ -317,8 +316,8 @@ def compile_dfa(formula: Formula, atoms: Sequence[str] | None = None,
     missing = formula_atoms(formula) - set(atoms)
     if missing:
         raise LtlfError(f"formula atoms {sorted(missing)} not in atom set {atoms}")
-    if len(atoms) > max_atoms:
-        raise LtlfError(f"atom set of size {len(atoms)} exceeds the limit of {max_atoms}")
+    if len(atoms) > MAX_ATOMS:
+        raise LtlfError(f"atom set of size {len(atoms)} exceeds the limit of {MAX_ATOMS}")
     n_letters = 1 << len(atoms)
     letter_sets = [frozenset(a for i, a in enumerate(atoms) if m >> i & 1) for m in range(n_letters)]
 
@@ -420,10 +419,10 @@ def minimize_dfa(dfa: Dfa) -> Dfa:
 
 
 def compile_minimal_dfa(formula_or_text, atoms: Sequence[str] | None = None,
-                        max_states: int = DEFAULT_STATE_BUDGET, name: str = "") -> Dfa:
+                        name: str = "") -> Dfa:
     """Convenience: parse if needed, compile, minimize."""
     formula = parse_formula(formula_or_text) if isinstance(formula_or_text, str) else formula_or_text
-    return minimize_dfa(compile_dfa(formula, atoms=atoms, max_states=max_states, name=name))
+    return minimize_dfa(compile_dfa(formula, atoms=atoms, name=name))
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pomdp import _categorical, condition, derive_seed, initial_beliefs, make_rng
+from .pomdp import _categorical, condition, derive_seed, initial_beliefs, make_rng, predict
 
 BELIEF_GAP = 1e-2  # L1 distance below which a sampled belief is not admitted
 
@@ -129,8 +129,7 @@ def _add_belief(beliefs: list, b: np.ndarray, gap: float) -> bool:
 
 
 def _predictive_step(prod, rng, b):
-    a = int(rng.integers(prod.n_actions))
-    predicted = b @ prod.P[:, a, :]
+    predicted = predict(prod, b, int(rng.integers(prod.n_actions)))
     return condition(prod, predicted, _categorical(rng, predicted @ prod.Z))
 
 
@@ -171,7 +170,7 @@ def expand_stage_beliefs(prod, T: int, cfg: SolverConfig) -> list[np.ndarray]:
             nxt: list[np.ndarray] = []
             for b in stages[-1]:
                 for a in range(prod.n_actions):
-                    predicted = b @ prod.P[:, a, :]
+                    predicted = predict(prod, b, a)
                     obs_probs = predicted @ prod.Z
                     for o in np.nonzero(obs_probs > 0)[0]:
                         _add_belief(nxt, condition(prod, predicted, o), 1e-12)

@@ -271,8 +271,7 @@ def reduce_support_bfs(r_hats, p_hats, threshold: float, slack: float = 0.0):
 # The main loop
 # --------------------------------------------------------------------------
 
-def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None,
-             slack: float | None = None) -> EGResult:
+def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None) -> EGResult:
     """Run K exponentiated-gradient iterations and assemble the mixture.
 
     Inner solves are warm-started from the previous iteration's alpha set,
@@ -283,8 +282,7 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None,
     prod = problem.product
     B, K, delta = problem.B, problem.K, problem.delta
     eta = problem.resolved_eta()
-    if slack is None:
-        slack = 2.0 * math.sqrt(2.0 * math.log(2.0) / K)
+    slack = 2.0 * math.sqrt(2.0 * math.log(2.0) / K)
     stopping = prod.stopping
     lam = B / 2.0
     records: list[IterationRecord] = []

@@ -171,9 +171,14 @@ def belief_init(model, o0: int) -> np.ndarray:
     return condition(model, model.varpi, o0)
 
 
+def predict(model, belief: np.ndarray, action: int) -> np.ndarray:
+    """Predictive step: sum_s P(s,a;s') b(s), the state distribution after the action."""
+    return belief @ model.sampling.p_by_action[action]
+
+
 def belief_update(model, belief: np.ndarray, action: int, obs: int) -> np.ndarray:
     """Bayes filter step: b'(s') ~ Z(s';o) * sum_s P(s,a;s') b(s)."""
-    return condition(model, belief @ model.sampling.p_by_action[action], obs)
+    return condition(model, predict(model, belief, action), obs)
 
 
 def initial_beliefs(model) -> list[tuple[float, int, np.ndarray]]:

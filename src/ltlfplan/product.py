@@ -87,11 +87,11 @@ def constrained_product(model: LabeledPomdp, spec_text: str) -> ProductPomdp:
     return prune_unreachable(build_product(model, dfa))
 
 
-def build_product(model: LabeledPomdp, dfa: Dfa, name: str = "") -> ProductPomdp:
+def build_product(model: LabeledPomdp, dfa: Dfa) -> ProductPomdp:
     """Dense product over all S*Q pairs, x = s*Q + q; no pruning (see prune_unreachable)."""
     X = model.n_states * dfa.n_states
     pairs = np.stack(np.divmod(np.arange(X), dfa.n_states), axis=1)
-    return ProductPomdp(model, dfa, pairs, name=name)
+    return ProductPomdp(model, dfa, pairs)
 
 
 def prune_unreachable(prod: ProductPomdp) -> ProductPomdp:

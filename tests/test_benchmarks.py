@@ -1,15 +1,18 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from ltlfplan.benchmarks import (
-    CSV_COLUMNS, PRESETS, SPEC_STRINGS, build_instance, chain3, grid_spec, make_model,
-    make_spec, random_tiny_model, render_trajectory_ascii, run_experiment, trajectory_table,
+    CSV_COLUMNS, GRIDS, MODEL_NAMES, PRESETS, build_instance, chain3, make_model, make_spec,
+    random_tiny_model, render_trajectory_ascii, run_experiment, trajectory_table,
     twostate_constrained,
 )
 from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import parse_formula
 from ltlfplan.pbvi import SolverConfig
-from ltlfplan.pomdp import RandomPolicy, derive_seed, sample_trajectory
+from ltlfplan.pomdp import RandomPolicy, derive_seed, model_to_dict, sample_trajectory
 from ltlfplan.product import build_product, constrained_product
 
 
@@ -92,12 +95,11 @@ def test_noisy_location_channel_excludes_self():
 
 def test_proximity_observation_channel():
     m = make_model("M8")
-    spec = grid_spec("M8")
     close = m.observations.index("C")
     far = m.observations.index("F")
     for x in range(4):
         for y in range(4):
-            for h, (obj, p_close) in enumerate(zip(spec.object_cells, spec.close_probs)):
+            for h, (obj, p_close) in enumerate(GRIDS["M8"].objects):
                 s = m.states.index(f"({x},{y})|obj{h}")
                 dist = abs(x - obj[0]) + abs(y - obj[1])
                 if dist > 1:
@@ -125,6 +127,48 @@ def test_model_overrides():
         make_model("M1", labels={(9, 9): ("a",)})
 
 
+def test_objects_choose_the_channel():
+    """Objects, not the grid's name, pick motion and sensor."""
+    m8 = make_model("M8", objects=())
+    assert m8.n_states == 16
+    assert m8.observations == m8.states == make_model("M1").states
+    assert m8.atoms == ("a",)
+    interior = m8.states.index("(2,2)")
+    assert np.count_nonzero(m8.Z[interior]) == 4
+    north = m8.actions.index("north")
+    assert m8.P[interior, north, m8.states.index("(2,3)")] == pytest.approx(0.95 + 0.05 / 3)
+    m1 = make_model("M1", objects=(((2, 0), 0.8),))
+    assert m1.n_states == 16 and m1.observations == ["F", "C"]
+    assert m1.states[0] == "(0,0)|obj0"
+    s = m1.states.index("(1,0)|obj0")
+    assert m1.Z[s, 1] == 0.8 and m1.Z[m1.states.index("(0,3)|obj0"), 0] == 1.0
+    assert m1.P[s, m1.actions.index("north"), m1.states.index("(1,1)|obj0")] == 1.0
+    assert m1.label_sets()[m1.states.index("(2,0)|obj0")] == frozenset({"b"})
+    with pytest.raises(ValueError):
+        make_model("M8", objects=(((4, 0), 0.9),))
+
+
+# sha256 of each preset model's sorted-key JSON: any change to a grid entry, a
+# module constant or the builder's arithmetic changes a model's bits
+MODEL_DIGESTS = {
+    "M1": "ff630d7b68ef19248f75ffaffd94cd705cd55eb99843c8528cc2c52ed77add16",
+    "M2": "2fdf00bb8590618f9dca8d12de737f98728404e92df16006aea9d4293e3858ac",
+    "M3": "36de08d21fa6dec79b179adec264526c0913e19e60be1c17a869d4a958b3d0d1",
+    "M4": "0460f0b440c4a1b434ecc7b6bc612c63e89ffe5a91eae2460a75096bfb2b2b7e",
+    "M5": "fbc5f324bfd15ea77336dd2d03c20c9548cd598187e0cc6f2ec371174a4e3e47",
+    "M6": "002d0a2479c0f82a90bb7fa3f7cb5555d347db9e3107a0c7990e726e3a0f8e87",
+    "M7": "16de1a19d68f704f9cf016945adde3e4c40938fff9ef7b50fba7fddf87ca074a",
+    "M8": "0bfe4485a1de22aced099fe36c270db3d28ad6374d1998e053147edca28540f0",
+    "M9": "9e5328593bfebe9d7b6b0823b80ceaa2084fbb7ea8d09481d521719e4da095e6",
+}
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_preset_models_are_the_recorded_bits(name):
+    doc = json.dumps(model_to_dict(make_model(name)), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == MODEL_DIGESTS[name]
+
+
 def test_presets_match_reported_hyperparameters():
     p = PRESETS["M1"]
     assert (p.spec, p.threshold, p.B, p.K, p.simu) == ("phi1", 0.75, 5.0, 100, 200)
@@ -136,17 +180,17 @@ def test_presets_match_reported_hyperparameters():
 
 
 def test_build_instance_prunes():
-    model, dfa, prod = build_instance("M1")
-    assert model.n_states * dfa.n_states >= prod.n_states
+    prod = build_instance("M1")
+    assert prod.base.n_states * prod.dfa.n_states >= prod.n_states
     assert prod.n_states > 0
 
 
 def test_trajectory_table_and_ascii():
-    model, dfa, prod = build_instance("M1")
+    prod = build_instance("M1")
     traj = sample_trajectory(prod, RandomPolicy(prod.n_actions, seed=2), seed=derive_seed(8))
     rows = trajectory_table(prod, traj)
     assert [r["t"] for r in rows] == list(range(len(traj)))
-    assert rows[0]["q"] == dfa.initial
+    assert rows[0]["q"] == prod.dfa.initial
     assert rows[0]["s"] == "(0,0)"
     art = render_trajectory_ascii(prod, traj)
     assert "t=0" in art and ("@" in art or "A" in art or "B" in art)
@@ -154,7 +198,7 @@ def test_trajectory_table_and_ascii():
 
 TABLE_PRODUCTS = {
     # pruning renumbers the product states of M7/phi6
-    "m7_phi6": lambda: build_instance("M7")[2],
+    "m7_phi6": lambda: build_instance("M7"),
     "tiny_fixed_horizon": lambda: constrained_product(
         random_tiny_model(5, n_states=3, n_actions=2, n_obs=2, horizon=12, n_atoms=2), "a U b"),
 }

@@ -216,6 +216,14 @@ def test_bench_unknown_row(tmp_path):
     assert run("bench", "--rows", "M42", "--out", str(tmp_path / "b")) == 3
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_bench_bad_k_scale_is_an_input_error(scale, tmp_path, capsys):
+    # rejected before the dry-run branch, so no row is planned or run
+    assert run("bench", "--rows", "M1", "--K-scale", scale, "--dry-run",
+               "--out", str(tmp_path / "b")) == 3
+    assert capsys.readouterr().err.startswith("error: --K-scale")
+
+
 def test_unknown_model_name(tmp_path, capsys):
     assert run("product", "--model", "M42", "--spec", "F a",
                "--out", str(tmp_path / "p")) == 3

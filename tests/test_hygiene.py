@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used in it, and only
-``product.py`` constructs a ``ProductPomdp``.
+"""Source hygiene: every name a library module imports is used in it, every
+import sits at module level, and only ``product.py`` constructs a
+``ProductPomdp``.
 
 ``__init__.py`` is exempt from the import check: its imports are the package's
 re-exports.
@@ -61,6 +62,27 @@ def test_the_check_sees_an_unused_import():
                      "def f(x: 'os.PathLike') -> 'zeros':\n    return array(['json'])\n")
     used = used_names(tree)
     assert [name for name, _ in imported_names(tree) if name not in used] == ["json"]
+
+
+def local_imports(tree):
+    """Lines of imports inside a function or class body."""
+    for scope in ast.walk(tree):
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for node in ast.walk(scope):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    yield node.lineno
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_imports_are_module_level(module):
+    lines = sorted(set(local_imports(ast.parse((SRC / module).read_text(), filename=module))))
+    assert not lines, f"{module} imports inside a function or class at lines {lines}"
+
+
+def test_the_check_sees_a_local_import():
+    tree = ast.parse("import os\n\ndef f():\n    import re\n    return re\n\n"
+                     "class C:\n    def g(self):\n        from json import dumps\n")
+    assert sorted(set(local_imports(tree))) == [4, 9]
 
 
 def product_constructions(tree):

@@ -233,7 +233,7 @@ def test_point_backup_single_alpha():
 
 
 def test_point_backup_matches_dense_on_pruned_m7():
-    _, _, prod = build_instance("M7")
+    prod = build_instance("M7")
     preset = PRESETS["M7"]
     gamma = prod.stopping.gamma
     for lam in (preset.B / 2, 0.0):

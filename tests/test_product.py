@@ -210,7 +210,7 @@ def assert_accepts_at_stop_is_the_dfa_verdict(prod):
 
 @pytest.mark.parametrize("row", sorted(PRESETS))
 def test_accepts_at_stop_on_every_preset_product(row, tmp_path):
-    _, _, prod = build_instance(row)
+    prod = build_instance(row)
     assert prod.accepts_at_stop.shape == (prod.n_states,)
     assert_accepts_at_stop_is_the_dfa_verdict(prod)
     path = tmp_path / "product.json"
