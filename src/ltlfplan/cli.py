@@ -157,8 +157,11 @@ def cmd_solve(args) -> int:
         "B": args.B, "K": args.K, "eta": result.eta, "simu": args.simu,
         "n_beliefs": args.n_beliefs, "max_rounds": args.max_rounds, "tol": args.tol,
     })
+    unconverged = sum(not rec.converged for rec in result.records)
     _say(args, f"mixture over {args.K} policies: mean p_hat {result.mean_p_hat():.3f} "
-               f"(threshold {args.threshold}), mean r_hat {result.mean_r_hat():.3f}")
+               f"(threshold {args.threshold}), mean r_hat {result.mean_r_hat():.3f}; "
+               f"{unconverged} unconverged, largest gap at b0 "
+               f"{max(rec.gap for rec in result.records):.3g}")
     return EXIT_OK
 
 

@@ -13,6 +13,9 @@ expanded forward from the initial posteriors; with exhaustive expansion it is
 exact at the start beliefs.  ``exact_value_oracle`` enumerates the full
 action/observation history tree instead and is the independent reference for
 tiny instances.
+
+``mdp_upper_bound`` is the matching upper bound at the start beliefs: the
+value of the product MDP, which sees the state, read through b0.
 """
 
 from __future__ import annotations
@@ -114,6 +117,42 @@ class TimeIndexedPolicy(list):
 def start_value(policy, prod) -> float:
     """Expected value before the time-0 observation: E_o0[ V(b0(o0)) ]."""
     return sum(p * policy.value_at(b, 0) for p, _, b in initial_beliefs(prod))
+
+
+def mdp_upper_bound(prod, reward, terminal: np.ndarray | None = None) -> float:
+    """Upper bound on the optimal start value: the QMDP/FIB bound
+    E_o0[ max_a b0(o0) . Q[:, a] ] with Q the optimal Q-table of the product
+    MDP, which sees the state (Hauskrecht 2000).
+
+    Geometric stopping: value iteration from the constant max(reward)/(1-gamma),
+    stopped once no value falls by more than 1e-9.  Every sweep stays >= V*,
+    so that tolerance affects how tight the bound is, not whether it holds.
+    Fixed stopping: T+1 steps of backward induction onto ``terminal``, the
+    stage rule of solve_finite_horizon.
+    """
+    reward = np.asarray(reward, dtype=np.float64)
+    X, A = prod.n_states, prod.n_actions
+    if reward.shape != (X, A):
+        raise ValueError(f"reward map shape {reward.shape}, expected {(X, A)}")
+    if not np.all(np.isfinite(reward)):
+        raise ValueError("reward map has non-finite entries")  # value iteration would not stop
+    P = prod.P.reshape(X * A, X)  # row x*A + a is P[x, a, :]
+    stopping = prod.stopping
+    if stopping.kind == "geometric":
+        gamma = stopping.gamma
+        V = np.full(X, reward.max() / (1.0 - gamma))
+        while True:
+            Q = reward + gamma * (P @ V).reshape(X, A)
+            V_next = Q.max(axis=1)
+            if np.max(V - V_next) <= 1e-9:  # no value falls by more
+                break
+            V = V_next
+    else:
+        V = np.zeros(X) if terminal is None else np.asarray(terminal, dtype=np.float64)
+        for _ in range(stopping.T + 1):
+            Q = reward + (P @ V).reshape(X, A)
+            V = Q.max(axis=1)
+    return sum(p * float((b @ Q).max()) for p, _, b in initial_beliefs(prod))
 
 
 # --------------------------------------------------------------------------
@@ -257,20 +296,24 @@ def _winners(beliefs, mat, acts):
 
 
 def solve_discounted(prod, reward, gamma: float, cfg: SolverConfig,
-                     warm_start: tuple[np.ndarray, np.ndarray] | None = None) -> AlphaPolicy:
+                     warm_start: tuple[np.ndarray, np.ndarray] | None = None,
+                     beliefs: np.ndarray | None = None) -> AlphaPolicy:
     """Discounted-infinite-horizon PBVI; returns a stationary alpha policy.
 
     On hitting the round budget before the tolerance, returns the
     best-so-far policy flagged converged=False rather than raising.
     ``warm_start`` may carry (matrix, actions) of valid lower-bound vectors
     from a related solve; the uniform floor vector is always included.
+    ``beliefs`` is the belief set to back up at; by default the solve
+    expands its own with expand_beliefs_random_walk(prod, cfg, gamma).
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("discounted solver needs 0 < gamma < 1")
     reward = np.asarray(reward, dtype=np.float64)
     if reward.shape != (prod.n_states, prod.n_actions):
         raise ValueError(f"reward map shape {reward.shape}, expected {(prod.n_states, prod.n_actions)}")
-    beliefs = expand_beliefs_random_walk(prod, cfg, gamma)
+    if beliefs is None:
+        beliefs = expand_beliefs_random_walk(prod, cfg, gamma)
     floor = reward.min() / (1.0 - gamma)
     mat = np.full((1, prod.n_states), floor)
     acts = np.zeros(1, dtype=np.int64)

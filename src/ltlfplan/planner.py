@@ -15,6 +15,11 @@ multiplier weighting comes from rewriting E[r_final(X_{T+1})] as
 (1-gamma)/gamma * sum_{t>=1} gamma^t E[r_final(X_t)].  The leftover t=0 term
 and the -lam*(1-delta) threshold term are policy-independent constants and
 are returned as an offset rather than folded into the solve.
+
+Theorem 2's satisfaction bound needs sup R, the best unconstrained reward;
+``eg_solve`` bounds it from above with the product-MDP bound at lam = 0
+(``pbvi.mdp_upper_bound``) rather than solving for it.  The same bound at each
+lam_k, minus the iterate's start value, is the gap recorded per iteration.
 """
 
 from __future__ import annotations
@@ -27,7 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pbvi import SolverConfig, solve_discounted, solve_finite_horizon, start_value
+from . import pbvi
+from .pbvi import (
+    SolverConfig, mdp_upper_bound, solve_discounted, solve_finite_horizon, start_value,
+)
 from .pomdp import _categorical, derive_seed, make_rng
 from .product import ProductPomdp
 
@@ -94,6 +102,7 @@ class IterationRecord:
     p_se: float                 # standard errors of p_hat and r_hat
     r_se: float
     converged: bool
+    gap: float                  # mdp_upper_bound minus the policy's start value, at lam
 
 
 @dataclass
@@ -111,8 +120,8 @@ class EGResult:
     mixture: MixedPolicy
     lam_bar: float
     bound: float
-    r_m_estimate: float          # solver value at lam = 0; a lower bound on sup R
-    eps_f: float                 # surrogate using achieved reward in place of R*
+    r_m_upper: float             # mdp_upper_bound at lam = 0: an upper bound on sup R
+    eps_f: float                 # Theorem 2: (r_m_upper - mean r_hat + bound) / B
     threshold: float
     B: float
     K: int
@@ -276,7 +285,9 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None) -> EG
 
     Inner solves are warm-started from the previous iteration's alpha set,
     shifted down by the value-change bound |d lam| / gamma so every vector
-    stays a valid lower bound under the new scalarization.
+    stays a valid lower bound under the new scalarization.  The belief walk
+    does not read the reward, so discounted solves share one belief set.
+    sup R is bounded from above by mdp_upper_bound at lam = 0, not solved for.
     """
     cfg = cfg or SolverConfig()
     prod = problem.product
@@ -291,13 +302,25 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None) -> EG
     prev_lam = None
     t_solve = 0.0
     t_simu = 0.0
+    beliefs = None
+    if stopping.kind == "geometric":
+        tic = time.perf_counter()
+        # looked up on the module, so a patched (e.g. traced) walk is the one called
+        beliefs = pbvi.expand_beliefs_random_walk(prod, cfg, stopping.gamma)
+        t_solve += time.perf_counter() - tic
 
     def inner_solve(multiplier, warm_start):
+        """The multiplier's policy and its gap at b0: the MDP upper bound minus
+        the policy's start value, both on the scalarized scale."""
         if stopping.kind == "geometric":
             reward, _ = scalarize(prod, multiplier, delta)
-            return solve_discounted(prod, reward, stopping.gamma, cfg, warm_start=warm_start)
-        reward, terminal, _ = scalarize(prod, multiplier, delta)
-        return solve_finite_horizon(prod, reward, stopping.T, cfg, terminal=terminal)
+            terminal = None
+            policy = solve_discounted(prod, reward, stopping.gamma, cfg, warm_start=warm_start,
+                                      beliefs=beliefs)
+        else:
+            reward, terminal, _ = scalarize(prod, multiplier, delta)
+            policy = solve_finite_horizon(prod, reward, stopping.T, cfg, terminal=terminal)
+        return policy, mdp_upper_bound(prod, reward, terminal) - start_value(policy, prod)
 
     for k in range(1, K + 1):
         if not 0.0 < lam < B:
@@ -308,30 +331,26 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None) -> EG
         else:
             warm_start = None
         tic = time.perf_counter()
-        policy = inner_solve(lam, warm_start)
+        policy, gap = inner_solve(lam, warm_start)
         t_solve += time.perf_counter() - tic
         tic = time.perf_counter()
         est = mc_evaluate(policy, prod, problem.simu, derive_seed(problem.base_seed, k))
         t_simu += time.perf_counter() - tic
         records.append(IterationRecord(k, lam, est.p_hat, est.r_hat, est.p_se, est.r_se,
-                                       policy.converged))
+                                       policy.converged, gap))
         policies.append(policy)
         prev, prev_lam = policy, lam
         lam = eg_update_lambda(lam, est.p_hat, eta, B, delta)
 
     mixture = MixedPolicy(policies, np.full(K, 1.0 / K))
     lam_bar = float(np.mean([rec.lam for rec in records]))
-
-    tic = time.perf_counter()
-    unconstrained = inner_solve(0.0, None)
-    t_solve += time.perf_counter() - tic
-    r_m_estimate = start_value(unconstrained, prod)
+    r_m_upper = mdp_upper_bound(prod, scalarize(prod, 0.0, delta)[0])
 
     bound = regret_bound(K, B)
     r_hats = np.array([rec.r_hat for rec in records])
     p_hats = np.array([rec.p_hat for rec in records])
     achieved = float(r_hats.mean())
-    eps_f = (r_m_estimate - achieved + bound) / B
+    eps_f = (r_m_upper - achieved + bound) / B
 
     bfs_w = reduce_support_bfs(r_hats, p_hats, problem.threshold, slack)
     bfs_mixture = None
@@ -341,26 +360,27 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None) -> EG
         bfs_mixture = MixedPolicy([policies[i] for i in support], exec_w[support])
 
     return EGResult(records=records, mixture=mixture, lam_bar=lam_bar, bound=bound,
-                    r_m_estimate=r_m_estimate, eps_f=eps_f, threshold=problem.threshold,
+                    r_m_upper=r_m_upper, eps_f=eps_f, threshold=problem.threshold,
                     B=B, K=K, eta=eta, slack=slack, bfs_weights=bfs_w,
                     bfs_mixture=bfs_mixture,
                     timings={"t_solve_s": t_solve, "t_simu_s": t_simu})
 
 
-TRACE_COLUMNS = ("k", "lambda", "r_hat", "p_hat", "r_se", "p_se", "converged")
+TRACE_COLUMNS = ("k", "lambda", "r_hat", "p_hat", "r_se", "p_se", "converged", "gap")
 
 
 def trace_rows(result: EGResult) -> list[dict]:
     """One row per iteration, keyed by TRACE_COLUMNS: the records of
     result.json's trace and the rows of trace.csv."""
     return [dict(zip(TRACE_COLUMNS, (rec.k, rec.lam, rec.r_hat, rec.p_hat, rec.r_se, rec.p_se,
-                                     rec.converged)))
+                                     rec.converged, rec.gap)))
             for rec in result.records]
 
 
 def theorem2_report(result: EGResult) -> dict:
-    """Bound value, achieved estimates, the eps_f surrogate, and the
-    per-iteration trace behind the multiplier/reward/satisfaction plot."""
+    """Regret bound, achieved estimates, the upper bound on sup R with the
+    satisfaction bound eps_f it gives, and the per-iteration trace (with each
+    iterate's gap at b0) behind the multiplier/reward/satisfaction plot."""
     return {
         "bound": result.bound,
         "B": result.B,
@@ -370,7 +390,7 @@ def theorem2_report(result: EGResult) -> dict:
         "r_hat_mixture": result.mean_r_hat(),
         "p_hat_mixture": result.mean_p_hat(),
         "threshold": result.threshold,
-        "r_m_estimate_lower_bound": result.r_m_estimate,
+        "r_m_upper_bound": result.r_m_upper,
         "eps_f_surrogate": result.eps_f,
         "trace": trace_rows(result),
     }

@@ -140,8 +140,9 @@ def uninformative_two_state(p_stay=0.9, rewards=((1.0, 0.0), (0.0, 2.0)),
     return model
 
 
-def fully_observable(P, rewards, gamma=0.9, labels=None, atoms=("a",)):
-    """Wrap explicit MDP matrices as a POMDP with an identity observation channel."""
+def fully_observable(P, rewards, gamma=0.9, labels=None, atoms=("a",), stopping=None):
+    """Wrap explicit MDP matrices as a POMDP with an identity observation
+    channel; geometric stopping at gamma unless ``stopping`` is given."""
     P = np.asarray(P, dtype=float)
     S = P.shape[0]
     names = [f"s{i}" for i in range(S)]
@@ -149,7 +150,7 @@ def fully_observable(P, rewards, gamma=0.9, labels=None, atoms=("a",)):
                          P, np.eye(S), np.full(S, 1.0 / S), atoms,
                          np.zeros(S, dtype=np.int64) if labels is None else np.asarray(labels),
                          np.asarray(rewards, dtype=float),
-                         StoppingModel.geometric(gamma))
+                         stopping or StoppingModel.geometric(gamma))
     model.validate()
     return model
 

@@ -103,7 +103,7 @@ def test_solve_writes_artifacts_and_manifest(tmp_path, model_file):
     assert len(mixture["policies"]) == 3
     assert (out / mixture["policies"][0]).exists()
     trace = (out / "trace.csv").read_text().splitlines()
-    assert trace[0] == "k,lambda,r_hat,p_hat,r_se,p_se,converged"
+    assert trace[0] == "k,lambda,r_hat,p_hat,r_se,p_se,converged,gap"
     assert len(trace) == 4
     result = json.loads((out / "result.json").read_text())
     with open(out / "trace.csv", newline="") as fh:
@@ -120,6 +120,17 @@ def test_solve_manifest_records_auto_eta(tmp_path, model_file):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["eta"] == pytest.approx(auto_eta(100, 5.0))
     assert manifest["config"]["eta"] == pytest.approx(0.011774, abs=1e-6)
+
+
+def test_solve_summary_reports_unconverged_solves_and_gap(tmp_path, model_file, capsys):
+    out = tmp_path / "summary"
+    assert run("solve", "--model", model_file, "--spec", "F g", "--threshold", "0.75",
+               "--B", "4", "--K", "2", "--simu", "4", "--n-beliefs", "4",
+               "--max-rounds", "1", "--seed", "1", "--out", str(out)) == 0
+    trace = json.loads((out / "result.json").read_text())["trace"]
+    assert [row["converged"] for row in trace] == [False, False]
+    assert f"2 unconverged, largest gap at b0 {max(row['gap'] for row in trace):.3g}" \
+        in capsys.readouterr().out
 
 
 def test_solve_rerun_reproduces_outputs(tmp_path, model_file):

@@ -10,8 +10,8 @@ from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import TRUE, parse_formula
 from ltlfplan.pbvi import (
     AlphaPolicy, SolverConfig, TimeIndexedPolicy, _backup_tables, _point_backup,
-    check_policy, exact_value_oracle, load_policy, policy_from_dict, policy_to_dict, save_policy,
-    solve_discounted, solve_finite_horizon, start_value,
+    check_policy, exact_value_oracle, load_policy, mdp_upper_bound, policy_from_dict,
+    policy_to_dict, save_policy, solve_discounted, solve_finite_horizon, start_value,
 )
 from ltlfplan.planner import scalarize
 from ltlfplan.pomdp import LabeledPomdp, StoppingModel, derive_seed, make_rng, sample_trajectory
@@ -313,6 +313,88 @@ def test_oracle_guards_large_trees():
     prod = trivial_product(model)
     with pytest.raises(RuntimeError):
         exact_value_oracle(prod, prod.rewards, 3, max_tree=2)
+
+
+# --------------------------------------------------------------------------
+# The MDP upper bound
+# --------------------------------------------------------------------------
+
+def _fixed_horizon_cases(case):
+    """(product, reward, terminal, horizon) instances with an exact oracle."""
+    if case == "tiny":  # acceptance-5 instances
+        for seed, n_states, spec_text, T, n_atoms, lam in (
+                (102, 3, "F a", 2, 1, 0.8), (106, 2, "a U b", 3, 2, 1.2),
+                (108, 3, "G a", 1, 1, 2.0)):
+            model = random_tiny_model(seed, n_states=n_states, horizon=T, n_atoms=n_atoms)
+            prod = product_of(model, spec_text)
+            yield prod, prod.rewards, lam * prod.r_final, T
+    elif case == "chain":
+        chain = deterministic_chain(3, reward_on={0: 1.0, 1: 5.0}, stopping=StoppingModel.fixed(2))
+        prod = product_of(chain, "F a")
+        yield prod, prod.rewards, 0.5 * prod.r_final, 2
+    else:  # the observation reveals the state
+        P = np.zeros((2, 2, 2))
+        P[0, 0] = (1.0, 0.0)
+        P[0, 1] = (0.3, 0.7)
+        P[1, 0] = (0.5, 0.5)
+        P[1, 1] = (1.0, 0.0)
+        prod = trivial_product(fully_observable(P, [[0.1, 0.9], [2.0, 0.0]],
+                                                stopping=StoppingModel.fixed(3)))
+        yield prod, prod.rewards, None, 3
+
+
+@pytest.mark.parametrize("case", ["tiny", "chain", "revealing", "twostate", "M1", "M7"])
+def test_mdp_upper_bound(case):
+    """The product-MDP bound is >= the exact optimum under fixed stopping and
+    equal to it where the observation reveals the state; under geometric
+    stopping it is >= PBVI's start value at lam = 0 and B/2, and on the
+    two-state product at lam = 0 within 1e-6 of a converged cold solve."""
+    if case in ("tiny", "chain", "revealing"):
+        for prod, reward, terminal, T in _fixed_horizon_cases(case):
+            oracle = exact_value_oracle(prod, reward, T, terminal=terminal)
+            bound = mdp_upper_bound(prod, reward, terminal)
+            if case == "revealing":
+                assert bound == pytest.approx(oracle, abs=1e-12)
+            else:
+                assert bound >= oracle - 1e-12
+        return
+    if case == "twostate":
+        model, spec_text = twostate_constrained(0.9)
+        prod, B, threshold = product_of(model, spec_text), 4.0, 0.75
+        cfg = SolverConfig(n_beliefs=12, max_backup_rounds=400, bellman_tolerance=1e-8,
+                           expansion_seed=2)
+    else:
+        prod, preset = build_instance(case), PRESETS[case]
+        B, threshold = preset.B, preset.threshold
+        cfg = SolverConfig(n_beliefs=50, max_backup_rounds=100, expansion_seed=1)
+    for lam in (0.0, B / 2):
+        reward, _ = scalarize(prod, lam, 1.0 - threshold)
+        bound = mdp_upper_bound(prod, reward)
+        lower = start_value(solve_discounted(prod, reward, prod.stopping.gamma, cfg), prod)
+        assert bound >= lower
+        if case == "twostate" and lam == 0.0:
+            assert bound - lower <= 1e-6
+
+
+def test_mdp_upper_bound_rejects_bad_reward_maps():
+    prod = trivial_product(uninformative_two_state(stopping=StoppingModel.geometric(0.9)))
+    with pytest.raises(ValueError, match="shape"):
+        mdp_upper_bound(prod, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        mdp_upper_bound(prod, np.array([[0.0, np.nan], [1.0, 0.0]]))
+
+
+def test_supplied_beliefs_are_the_solves_own():
+    """A solve handed the walk's belief set returns what it returns when it
+    walks itself."""
+    model = uninformative_two_state(stopping=StoppingModel.geometric(0.9))
+    prod = trivial_product(model)
+    cfg = SolverConfig(n_beliefs=24, max_backup_rounds=120, expansion_seed=5)
+    own = solve_discounted(prod, prod.rewards, 0.9, cfg)
+    given = solve_discounted(prod, prod.rewards, 0.9, cfg,
+                             beliefs=pbvi.expand_beliefs_random_walk(prod, cfg, 0.9))
+    assert np.array_equal(given.alphas, own.alphas)
+    assert np.array_equal(given.actions, own.actions)
 
 
 # --------------------------------------------------------------------------

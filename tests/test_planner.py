@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from ltlfplan import pbvi, planner
 from ltlfplan.benchmarks import accepting_sink_instance, chain3, twostate_constrained
 from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import parse_formula
-from ltlfplan.pbvi import AlphaPolicy, SolverConfig
+from ltlfplan.pbvi import AlphaPolicy, SolverConfig, solve_discounted, start_value
 from ltlfplan.planner import (
     ConstrainedProblem, MixedPolicy, auto_eta, eg_solve, eg_update_lambda, mc_evaluate,
     reduce_support_bfs, regret_bound, scalarize, theorem2_report,
@@ -319,8 +320,36 @@ def test_theorem2_report_contents(twostate_product):
     report = theorem2_report(result)
     assert report["bound"] == pytest.approx(regret_bound(5, 4.0))
     assert len(report["trace"]) == 5
-    assert {"k", "lambda", "r_hat", "p_hat", "converged"} <= set(report["trace"][0])
-    assert report["r_m_estimate_lower_bound"] >= 0.0
+    assert {"k", "lambda", "r_hat", "p_hat", "converged", "gap"} <= set(report["trace"][0])
+    assert all(rec.gap >= 0.0 for rec in result.records)
+    reward, _ = scalarize(twostate_product, 0.0, problem.delta)
+    unconstrained = solve_discounted(twostate_product, reward, 0.9,
+                                     SolverConfig(n_beliefs=8, max_backup_rounds=150))
+    assert report["r_m_upper_bound"] >= start_value(unconstrained, twostate_product)
+
+
+def test_eg_solve_makes_k_solves_over_one_belief_walk(twostate_product, monkeypatch):
+    """A geometric eg_solve walks belief space once and solves once per
+    iteration, each solve after the first warm-started by keyword."""
+    solves, walks = [], []
+    solve, walk = planner.solve_discounted, pbvi.expand_beliefs_random_walk
+
+    def counting_solve(*args, **kwargs):
+        solves.append(kwargs)
+        return solve(*args, **kwargs)
+
+    def counting_walk(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "solve_discounted", counting_solve)
+    monkeypatch.setattr(pbvi, "expand_beliefs_random_walk", counting_walk)
+    problem = ConstrainedProblem(twostate_product, threshold=0.6, B=4.0, K=4,
+                                 eta=1.0, simu=20, base_seed=3)
+    eg_solve(problem, SolverConfig(n_beliefs=8, max_backup_rounds=150))
+    assert len(solves) == problem.K
+    assert len(walks) == 1
+    assert all(kwargs.get("warm_start") is not None for kwargs in solves[1:])
 
 
 def test_records_carry_the_iteration_standard_errors(twostate_product):
