@@ -19,8 +19,8 @@ from .dfa import (
     empty_accept, load_dfa, minimize_dfa, progress, save_dfa,
 )
 from .pomdp import (
-    ImpossibleObservationError, LabeledPomdp, ModelError, StoppingModel, Trajectory,
-    belief_init, belief_update, derive_seed, load_model, make_rng, predict,
+    ImpossibleObservationError, LabeledPomdp, ModelError, RolloutCache, StoppingModel,
+    Trajectory, belief_init, belief_update, derive_seed, load_model, make_rng, predict,
     sample_trajectory, save_model,
 )
 from .product import (

@@ -36,7 +36,7 @@ from . import pbvi
 from .pbvi import (
     SolverConfig, mdp_upper_bound, solve_discounted, solve_finite_horizon, start_value,
 )
-from .pomdp import _categorical, derive_seed, make_rng
+from .pomdp import RolloutCache, _categorical, derive_seed
 from .product import ProductPomdp
 
 
@@ -194,12 +194,13 @@ def eg_update_lambda(lam: float, p_hat: float, eta: float, B: float, delta: floa
 _SELECT_STREAM = 0x5E1EC7
 
 
-def rollout_policy(policy, seed: int, i: int):
+def rollout_policy(policy, seed: int, i: int, cache: RolloutCache | None = None):
     """The pure policy that rollout i of ``mc_evaluate(policy, prod, n, seed)``
-    executes; a MixedPolicy draws it from the selection stream (seed, i)."""
+    executes; a MixedPolicy draws it from the selection stream (seed, i),
+    read from the generator of ``cache`` (a fresh one when None)."""
     if not isinstance(policy, MixedPolicy):
         return policy
-    select_rng = make_rng(derive_seed(seed, i, _SELECT_STREAM))
+    select_rng = (cache or RolloutCache()).rng(derive_seed(seed, i, _SELECT_STREAM))
     return policy.policies[_categorical(select_rng, policy.weights)]
 
 
@@ -210,13 +211,15 @@ def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
     estimates do not depend on execution order.  For a MixedPolicy the pure
     policy is sampled first, from a stream separate from the trajectory's, so
     a degenerate mixture reproduces its support policy's rollouts exactly.
+    All n rollouts share one RolloutCache, which changes no estimate.
     """
     if n < 1:
         raise ValueError("need at least one rollout")
     totals = np.empty(n)
     finals = np.empty(n)
+    cache = RolloutCache()
     for i in range(n):
-        traj = prod.simulate(rollout_policy(policy, seed, i), derive_seed(seed, i))
+        traj = prod.simulate(rollout_policy(policy, seed, i, cache), derive_seed(seed, i), cache)
         totals[i] = traj.rewards.sum()
         finals[i] = prod.accepts_at_stop[traj.states[-1]]
     r_se = float(totals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0

@@ -238,9 +238,13 @@ class RandomPolicy:
         return int(self._rng.integers(self.n_actions))
 
 
+_KEY_MASK = (1 << 128) - 1
+_WORD_MASK = (1 << 64) - 1
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator keyed directly by the (<=128-bit) seed."""
-    return np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 128) - 1)))
+    return np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
 
 
 def derive_seed(*parts: int) -> int:
@@ -306,7 +310,87 @@ def _uniforms(rng: np.random.Generator):
         yield from rng.random(_CHUNK).tolist()
 
 
-def sample_trajectory(model, policy, seed: int) -> Trajectory:
+CACHE_FLOATS = 1 << 17  # belief floats (1 MiB) above which a rollout clears its cache
+
+
+class RolloutCache:
+    """What earlier rollouts on one model computed, for later ones to reuse.
+
+    Beliefs are interned by their bits and named by ids: one start posterior
+    per o0 and one successor per (belief, a, o), so a repeated Bayes step is a
+    lookup.  Each interned belief remembers the action every policy of
+    ``kind == "stationary"`` took there; time-indexed and belief-free policies
+    are always asked.  One Philox generator is re-keyed per rollout instead of
+    built.  Each cached value is the one the computation it replaces returns,
+    bit for bit, so sharing a cache changes no output.  A rollout that starts
+    on another model, or while the cache holds more than ``CACHE_FLOATS``
+    belief floats, clears it first.
+    """
+
+    def __init__(self):
+        self._rng = make_rng(0)
+        self._state = self._rng.bit_generator.state  # a fresh Philox's state, key 0
+        self._key = self._state["state"]["key"]
+        self.model = None
+        self._ids: dict[bytes, int] = {}
+        self._start: dict[int, int] = {}                  # o0 -> id
+        self._bits: list[bytes] = []                      # id -> the belief's float64 bits
+        self.successors: list[dict[int, int]] = []        # id -> {a * O + o: id}
+        self.actions: list[dict[object, int]] = []        # id -> {stationary policy: action}
+
+    def clear(self) -> None:
+        self.model = None
+        for table in (self._ids, self._start, self._bits, self.successors, self.actions):
+            table.clear()
+
+    @property
+    def n_beliefs(self) -> int:
+        return len(self._bits)
+
+    def belief(self, b: int) -> np.ndarray:
+        """The interned belief with id b, as a read-only view of its bits."""
+        return np.frombuffer(self._bits[b])
+
+    def rng(self, seed: int) -> np.random.Generator:
+        """The cache's generator, reset to the start of ``make_rng(seed)``'s
+        stream whatever earlier draws left buffered."""
+        key = int(seed) & _KEY_MASK
+        self._key[0], self._key[1] = key & _WORD_MASK, key >> 64
+        self._rng.bit_generator.state = self._state
+        return self._rng
+
+    def begin(self, model) -> None:
+        """Start a rollout on ``model``."""
+        if self.model is not model or self.n_beliefs * model.n_states > CACHE_FLOATS:
+            self.clear()
+            self.model = model
+
+    def start(self, o0: int) -> int:
+        b = self._start.get(o0)
+        if b is None:
+            b = self._start[o0] = self._intern(belief_init(self.model, o0))
+        return b
+
+    def add_successor(self, b: int, a: int, o: int) -> int:
+        """Intern the Bayes successor of belief b after (a, o), which
+        ``successors[b]`` does not yet hold, and record it there."""
+        # looked up on the module, so a patched (e.g. traced) update is the one called
+        nxt = self._intern(belief_update(self.model, self.belief(b), a, o))
+        self.successors[b][a * self.model.n_observations + o] = nxt
+        return nxt
+
+    def _intern(self, vector: np.ndarray) -> int:
+        bits = vector.tobytes()
+        b = self._ids.get(bits)
+        if b is None:
+            b = self._ids[bits] = len(self._bits)
+            self._bits.append(bits)
+            self.successors.append({})
+            self.actions.append({})
+        return b
+
+
+def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = None) -> Trajectory:
     """Simulate one run under the model's stopping rule.
 
     Draw order per step t is fixed for reproducibility: stop flag (geometric
@@ -315,24 +399,38 @@ def sample_trajectory(model, policy, seed: int) -> Trajectory:
     Bernoulli(1-gamma) flag fires, so a run may consist of a single step.
     All draws are uniforms of the run's own Philox stream, read in chunks,
     which yields the same doubles as one rng.random() call per draw.
+    Beliefs, stationary actions and the generator come from ``cache``, a
+    fresh one when None; the run is the same with any cache.
     """
+    if cache is None:
+        cache = RolloutCache()
+    cache.begin(model)
     tables = model.sampling
-    draw = _uniforms(make_rng(seed)).__next__
+    draw = _uniforms(cache.rng(seed)).__next__
     observe, transition, step_reward = tables.observe, tables.transition, tables.rewards
     stopping = model.stopping
     geometric = stopping.kind == "geometric"
     stop_prob = 1.0 - stopping.gamma if geometric else None
     track_belief = getattr(policy, "needs_belief", True)
+    memo = track_belief and getattr(policy, "kind", None) == "stationary"
+
+    successors, known = cache.successors, cache.actions
+    n_obs = model.n_observations
 
     s = _pick(tables.initial, draw())
     o = _pick(observe[s], draw())
-    belief = belief_init(model, o) if track_belief else None
+    b = cache.start(o) if track_belief else None  # the belief's id
 
     states, actions, observations, rewards = [], [], [], []
     t = 0
     while True:
         stop = draw() < stop_prob if geometric else t == stopping.T
-        a = int(policy.action(belief, t))
+        if memo:
+            a = known[b].get(policy)
+            if a is None:
+                a = known[b][policy] = int(policy.action(cache.belief(b), t))
+        else:
+            a = int(policy.action(None if b is None else cache.belief(b), t))
         states.append(s)
         actions.append(a)
         observations.append(o)
@@ -342,7 +440,8 @@ def sample_trajectory(model, policy, seed: int) -> Trajectory:
         s = _pick(transition[s][a], draw())
         o = _pick(observe[s], draw())
         if track_belief:
-            belief = belief_update(model, belief, a, o)
+            nxt = successors[b].get(a * n_obs + o)
+            b = cache.add_successor(b, a, o) if nxt is None else nxt
         t += 1
     return Trajectory(
         states=np.array(states, dtype=np.int64),

@@ -19,8 +19,8 @@ import numpy as np
 from .dfa import Dfa, compile_minimal_dfa, dfa_from_dict, dfa_to_dict
 from .ltlf import parse_formula
 from .pomdp import (
-    LOAD_ATOL, LabeledPomdp, ModelError, Trajectory, _typed, model_from_dict, model_to_dict,
-    sample_trajectory,
+    LOAD_ATOL, LabeledPomdp, ModelError, RolloutCache, Trajectory, _typed, model_from_dict,
+    model_to_dict, sample_trajectory,
 )
 
 
@@ -71,9 +71,9 @@ class ProductPomdp(LabeledPomdp):
         """Whether a run on this product satisfies the spec."""
         return bool(self.accepts_at_stop[traj.states[-1]])
 
-    def simulate(self, policy, seed: int) -> Trajectory:
+    def simulate(self, policy, seed: int, cache: RolloutCache | None = None) -> Trajectory:
         """Sample one run on this product: a plain ``sample_trajectory`` run."""
-        return sample_trajectory(self, policy, seed)
+        return sample_trajectory(self, policy, seed, cache)
 
     def base_run(self, traj: Trajectory) -> np.ndarray:
         """Base-model state sequence embedded in a product trajectory."""

@@ -5,14 +5,17 @@ value iteration works on explicit matrices, policy evaluation uses closed-form
 linear algebra, and the mixture LP is solved by direct vertex enumeration.
 """
 
+import math
+
 import numpy as np
 
 from ltlfplan.ltlf import (
     FALSE, TRUE, Always, And, Atom, Eventually, Implies, Next, Not, Or, Release,
     Until, WeakNext,
 )
+from ltlfplan.planner import _SELECT_STREAM
 from ltlfplan.pomdp import (
-    ImpossibleObservationError, LabeledPomdp, StoppingModel, Trajectory, make_rng,
+    ImpossibleObservationError, LabeledPomdp, StoppingModel, Trajectory, derive_seed, make_rng,
 )
 
 _LEAVES = ("atom", "true", "false")
@@ -226,3 +229,22 @@ def reference_sample_trajectory(model, policy, seed):
         observations=np.array(observations, dtype=np.int64),
         rewards=np.array(rewards, dtype=np.float64),
     )
+
+
+def dfa_accepts_run(prod, traj):
+    """Independent verdict: Dfa.run over the base labels of the run."""
+    return prod.dfa.run(prod.base.labels[prod.base_run(traj)]) in prod.dfa.accepting
+
+
+def reference_mc_evaluate(policy, prod, n, seed):
+    """(r_hat, p_hat, r_se, p_se) of a MixedPolicy from reference runs: the
+    selection draw, the run and the verdict each computed independently."""
+    totals, finals = np.empty(n), np.empty(n)
+    for i in range(n):
+        select = make_rng(derive_seed(seed, i, _SELECT_STREAM))
+        pure = policy.policies[reference_categorical(select, policy.weights)]
+        traj = reference_sample_trajectory(prod, ReferenceAlphaAction(pure), derive_seed(seed, i))
+        totals[i] = traj.rewards.sum()
+        finals[i] = 1.0 if dfa_accepts_run(prod, traj) else 0.0
+    return (float(totals.mean()), float(finals.mean()),
+            float(totals.std(ddof=1) / math.sqrt(n)), float(finals.std(ddof=1) / math.sqrt(n)))

@@ -182,8 +182,8 @@ def test_trace_replays_rollout_zero_of_evaluate(tmp_path, model_file, monkeypatc
     simulated = []
     simulate = ProductPomdp.simulate
 
-    def recording(prod, policy, seed):
-        traj = simulate(prod, policy, seed)
+    def recording(prod, policy, seed, cache=None):
+        traj = simulate(prod, policy, seed, cache)
         simulated.append((prod, traj))
         return traj
 

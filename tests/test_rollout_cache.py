@@ -1,0 +1,248 @@
+"""A RolloutCache changes no run.
+
+Runs through one shared cache equal fresh runs (each with its own cache) and
+the reference simulator in ``helpers`` field by field, and the cache's
+re-keyed generator reproduces the pinned Philox streams that every rollout
+seed names.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import ltlfplan.product
+from ltlfplan import pomdp
+from ltlfplan.benchmarks import make_model, make_spec, twostate_constrained
+from ltlfplan.pbvi import AlphaPolicy, SolverConfig, solve_discounted, solve_finite_horizon
+from ltlfplan.planner import MixedPolicy, mc_evaluate, scalarize
+from ltlfplan.pomdp import (
+    LabeledPomdp, RandomPolicy, RolloutCache, StoppingModel, _uniforms, derive_seed, make_rng,
+    sample_trajectory,
+)
+from ltlfplan.product import constrained_product
+
+from helpers import ReferenceAlphaAction, reference_mc_evaluate, reference_sample_trajectory
+
+# --------------------------------------------------------------------------
+# Reproducibility pins: rollout i of seed s reads make_rng(derive_seed(s, i))
+# --------------------------------------------------------------------------
+
+DERIVED = {
+    (0,): 0x180ceb0edce751d9c29f4eb487973e3a,
+    (1, 2): 0xd9f6d62d188b891ce7ae79ab3ea6d7e7,
+    (2**64 + 5, 0): 0xc12cf82ab6bdfa8ab31cff34128c8f5,
+    (2**128 - 1, 7): 0xe69d920d511849024dd7e97ee978659,
+    (-1, 3): 0x5521c4253f5f37f063258189ea72f4e5,
+    (1000, 4, 0x5E1EC7): 0xc2c5aaa42d3881dad1461be1f488a351,
+    (42, 0): 0xee4c00f1568a55c81193d23cd7e8934f,
+}
+
+# sha256 of the first 130 doubles (more than two 64-double chunks) of the
+# stream of make_rng(derive_seed(*parts)), or of make_rng(key) for one part
+STREAMS = {
+    (0, 0): "abdfd14b610d912cf2b7fcd6c5ceb13a30cc54c5920f8e1eec9a479452664385",
+    (0, 1): "caf09e2a0b40c6cc68add84ccdd6646eeaedfe01ce056fec0d722e583fecd28d",
+    (0,): "0b1b43fd35c9c1df7f091f355cfb17347ce6e4f2bbd79f7d44b1cd6ffc44b666",
+    (2**64 + 5, 0): "c3ec10ad964f2c431eba253fc4d743a434003019bd62fcac126e0a875938f6b3",
+    (2**64 + 5, 1): "0c33a3df64daa1eca1d86108df40b52f85f71d35f497e0e254a4dfe1cfb8519a",
+    (2**64 + 5,): "3bed9070d4b651f3e7a8b319511fee70ef3dbed8a24ac70965b4907d2ae0b234",
+    (2**128 - 1, 0): "cd3ed6f11e1e1ff21e046012b9d220c9ad904bd3db75444f4832cdd98078e530",
+    (2**128 - 1, 1): "179e25756985b6d3778eb7e60ca7ebf6f6a23af148d11639dfc764578d665190",
+    (2**128 - 1,): "4d6f1b88ff60aa6c67a979af904c5e997fff96f23de84e0b65dcbcdc2c5ea302",
+}
+
+
+def stream_key(parts):
+    return parts[0] if len(parts) == 1 else derive_seed(*parts)
+
+
+def digest(doubles) -> str:
+    return hashlib.sha256(np.asarray(doubles, dtype=np.float64).tobytes()).hexdigest()
+
+
+def test_derive_seed_is_pinned():
+    for parts, seed in DERIVED.items():
+        assert derive_seed(*parts) == seed, parts
+
+
+@pytest.mark.parametrize("parts", sorted(STREAMS))
+def test_rekeyed_generator_gives_the_pinned_stream(parts):
+    key = stream_key(parts)
+    assert digest(make_rng(key).random(130)) == STREAMS[parts]
+    cache = RolloutCache()
+    assert digest(cache.rng(key).random(130)) == STREAMS[parts]
+    # the previous rollout left half of a 64-double chunk unread and a
+    # buffered uint32 from integers()
+    rng = cache.rng(derive_seed(7, 7))
+    draw = _uniforms(rng).__next__
+    for _ in range(30):
+        draw()
+    rng.integers(5)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    draw = _uniforms(cache.rng(key)).__next__
+    assert digest([draw() for _ in range(130)]) == STREAMS[parts]
+
+
+# --------------------------------------------------------------------------
+# Shared cache == fresh runs == reference runs, on pruned M7/phi6
+# --------------------------------------------------------------------------
+
+CFG = SolverConfig(n_beliefs=20, max_backup_rounds=30)
+
+
+@pytest.fixture(scope="module")
+def m7():
+    prod = constrained_product(make_model("M7"), make_spec("phi6"))
+
+    def solved(lam):
+        return solve_discounted(prod, scalarize(prod, lam, 0.2)[0], prod.stopping.gamma, CFG)
+
+    rng = make_rng(5)
+    arbitrary = AlphaPolicy(rng.random((6, prod.n_states)), np.arange(6) % prod.n_actions)
+    return prod, [solved(1.0), solved(25.0), arbitrary]
+
+
+@pytest.fixture(scope="module")
+def m7_fixed():
+    """M7/phi6 stopped at T = 10, with a solved time-indexed policy."""
+    m = make_model("M7")
+    base = LabeledPomdp(m.name, m.states, m.actions, m.observations, m.P, m.Z, m.varpi,
+                        m.atoms, m.labels, m.rewards, StoppingModel.fixed(10))
+    prod = constrained_product(base, make_spec("phi6"))
+    reward, terminal, _ = scalarize(prod, 5.0, 0.2)
+    cfg = SolverConfig(n_beliefs=4, max_backup_rounds=30)
+    return prod, solve_finite_horizon(prod, reward, 10, cfg, terminal=terminal)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Calls of the Bayes step and of AlphaPolicy.action, the two things the
+    cache saves; it must call both through their module/class attributes."""
+    calls = {"belief_update": 0, "action": 0}
+    update, action = pomdp.belief_update, AlphaPolicy.action
+
+    def counting_update(*args):
+        calls["belief_update"] += 1
+        return update(*args)
+
+    def counting_action(self, *args):
+        calls["action"] += 1
+        return action(self, *args)
+
+    monkeypatch.setattr(pomdp, "belief_update", counting_update)
+    monkeypatch.setattr(AlphaPolicy, "action", counting_action)
+    return calls
+
+
+def alpha_triple(policy):
+    return policy, policy, ReferenceAlphaAction(policy)
+
+
+def assert_cache_changes_nothing(prod, triples, cache, n=60, seed=31):
+    """triples(i) gives rollout i's (shared-cache, fresh, reference) policies;
+    returns the total number of steps."""
+    steps = 0
+    for i in range(n):
+        shared, fresh, ref = triples(i)
+        run_seed = derive_seed(seed, i)
+        got = prod.simulate(shared, run_seed, cache)
+        for want in (sample_trajectory(prod, fresh, run_seed),
+                     reference_sample_trajectory(prod, ref, run_seed)):
+            for field in ("states", "actions", "observations", "rewards"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (i, field)
+        steps += len(got)
+    return steps
+
+
+def test_solved_policy_through_one_cache(m7, counted):
+    prod, (policy, *_) = m7
+    cache = RolloutCache()
+    steps = assert_cache_changes_nothing(prod, lambda i: alpha_triple(policy), cache)
+    # each fresh run asks for every action and makes every update; the
+    # reference runs make neither call
+    shared_updates = counted["belief_update"] - (steps - 60)
+    shared_actions = counted["action"] - steps
+    assert 0 < cache.n_beliefs <= shared_updates + prod.n_observations
+    assert shared_updates < steps - 60 and shared_actions < steps
+
+
+def test_two_stationary_policies_share_one_cache(m7):
+    prod, (solved, other, arbitrary) = m7
+    cache = RolloutCache()
+    pair = [alpha_triple(solved), alpha_triple(arbitrary)]
+    assert_cache_changes_nothing(prod, lambda i: pair[i % 2], cache)
+    pair = [alpha_triple(solved), alpha_triple(other)]
+    assert_cache_changes_nothing(prod, lambda i: pair[i % 2], cache, seed=32)
+
+
+def test_mixture_through_mc_evaluate(m7, counted):
+    prod, policies = m7
+    mixture = MixedPolicy(policies, [0.5, 0.3, 0.2])
+    est = mc_evaluate(mixture, prod, 120, seed=23)
+    assert 0 < counted["action"] < counted["belief_update"]  # actions at interned beliefs
+    assert (est.r_hat, est.p_hat, est.r_se, est.p_se) == \
+        reference_mc_evaluate(mixture, prod, 120, seed=23)
+
+
+def test_time_indexed_policy_is_asked_every_step(m7_fixed, counted):
+    prod, policy = m7_fixed
+    assert policy.kind == "time_indexed"
+    steps = assert_cache_changes_nothing(prod, lambda i: alpha_triple(policy), RolloutCache(),
+                                         n=40)
+    assert steps == 40 * 11
+    assert counted["action"] == steps * 2  # the shared and the fresh runs
+
+
+def test_random_policy_is_never_memoized(m7):
+    prod, _ = m7
+    A = prod.n_actions
+    assert_cache_changes_nothing(
+        prod, lambda i: (RandomPolicy(A, i), RandomPolicy(A, i), RandomPolicy(A, i)),
+        RolloutCache())
+    # one policy object whose stream runs on across rollouts
+    mine, fresh, ref = (RandomPolicy(A, 9) for _ in range(3))
+    assert_cache_changes_nothing(prod, lambda i: (mine, fresh, ref), RolloutCache(), seed=33)
+
+
+def test_a_run_that_crosses_the_budget(m7, monkeypatch):
+    prod, (policy, *_) = m7
+    monkeypatch.setattr(pomdp, "CACHE_FLOATS", 40 * prod.n_states)
+    cache = RolloutCache()
+    held = []
+
+    def triples(i):
+        held.append(cache.n_beliefs)
+        return alpha_triple(policy)
+
+    assert_cache_changes_nothing(prod, triples, cache)
+    starts = held[1:]
+    assert max(starts) > 40  # the budget was crossed ...
+    assert any(after < before for before, after in zip(starts, starts[1:]))  # ... and cleared
+
+
+def test_a_cache_moved_to_another_model_starts_over(m7):
+    prod, (policy, *_) = m7
+    cache = RolloutCache()
+    assert_cache_changes_nothing(prod, lambda i: alpha_triple(policy), cache, n=5)
+    other = constrained_product(*twostate_constrained(0.9))
+    stay = AlphaPolicy(np.zeros((1, other.n_states)), [0])
+    assert_cache_changes_nothing(other, lambda i: alpha_triple(stay), cache, n=20)
+    assert cache.model is other
+
+
+def test_mc_evaluate_makes_one_simulator_call_per_rollout(m7, monkeypatch):
+    prod, policies = m7
+    calls = []
+    simulate = ltlfplan.product.sample_trajectory
+
+    def counting(*args):
+        calls.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr(ltlfplan.product, "sample_trajectory", counting)
+    for policy in (policies[0], MixedPolicy(policies, [0.2, 0.3, 0.5])):
+        calls.clear()
+        mc_evaluate(policy, prod, 37, seed=4)
+        assert len(calls) == 37

@@ -1,8 +1,6 @@
 """The simulator's cached inverse-CDF tables and chunked uniforms reproduce
 the scalar reference simulator in ``helpers`` bit for bit."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,14 +8,17 @@ from ltlfplan.benchmarks import make_model, make_spec, random_tiny_model, twosta
 from ltlfplan.pbvi import (
     AlphaPolicy, SolverConfig, solve_discounted, solve_finite_horizon,
 )
-from ltlfplan.planner import _SELECT_STREAM, MixedPolicy, mc_evaluate, scalarize
+from ltlfplan.planner import MixedPolicy, mc_evaluate, scalarize
 from ltlfplan.pomdp import (
     LOAD_ATOL, FixedActionPolicy, LabeledPomdp, RandomPolicy, StoppingModel, _categorical,
     _inverse_cdfs, _pick, derive_seed, make_rng,
 )
 from ltlfplan.product import constrained_product
 
-from helpers import ReferenceAlphaAction, reference_categorical, reference_sample_trajectory
+from helpers import (
+    ReferenceAlphaAction, dfa_accepts_run, reference_categorical, reference_mc_evaluate,
+    reference_sample_trajectory,
+)
 
 CFG = SolverConfig(n_beliefs=20, max_backup_rounds=30, bellman_tolerance=1e-6)
 
@@ -68,11 +69,6 @@ def fixed_case():
     return prod, solve_finite_horizon(prod, reward, 40, cfg, terminal=terminal)
 
 
-def dfa_accepts_run(prod, traj):
-    """Independent verdict: Dfa.run over the base labels of the run."""
-    return prod.dfa.run(prod.base.labels[prod.base_run(traj)]) in prod.dfa.accepting
-
-
 def assert_same_runs(prod, policies, n=40, seed=17):
     """policies() returns a fresh (library policy, reference policy) pair."""
     lengths = []
@@ -117,18 +113,6 @@ def test_fixed_horizon_runs_match_reference(fixed_case):
                     assert_same_runs(prod, lambda: (RandomPolicy(A, 9), RandomPolicy(A, 9))),
                     assert_same_runs(prod, lambda: (policy, ReferenceAlphaAction(policy)))):
         assert set(lengths) == {41}
-
-
-def reference_mc_evaluate(policy, prod, n, seed):
-    totals, finals = np.empty(n), np.empty(n)
-    for i in range(n):
-        select = make_rng(derive_seed(seed, i, _SELECT_STREAM))
-        pure = policy.policies[reference_categorical(select, policy.weights)]
-        traj = reference_sample_trajectory(prod, ReferenceAlphaAction(pure), derive_seed(seed, i))
-        totals[i] = traj.rewards.sum()
-        finals[i] = 1.0 if dfa_accepts_run(prod, traj) else 0.0
-    return (float(totals.mean()), float(finals.mean()),
-            float(totals.std(ddof=1) / math.sqrt(n)), float(finals.std(ddof=1) / math.sqrt(n)))
 
 
 def test_mixture_evaluation_matches_reference(geometric_case):
