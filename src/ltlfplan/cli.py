@@ -212,6 +212,8 @@ def cmd_bench(args) -> int:
         rows = list(MODEL_NAMES)
     else:
         rows = [r.strip() for r in args.rows.split(",") if r.strip()]
+    if not rows:
+        raise ValidationFailure(f"--rows names no benchmark row; choose from {MODEL_NAMES} or 'all'")
     unknown = [r for r in rows if r not in PRESETS]
     if unknown:
         raise ValidationFailure(f"unknown benchmark rows {unknown}; choose from {MODEL_NAMES}")

@@ -12,22 +12,21 @@ needed.  Moore partition refinement yields the minimal automaton.
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ltlf import (
     FALSE, TRUE, Always, And, Atom, Eventually, FalseConst, Formula, Implies,
-    LtlfError, Next, Not, Or, Release, TrueConst, Until, WeakNext, Word,
-    format_formula, formula_atoms, parse_formula,
+    LtlfError, Next, Not, Or, Release, TrueConst, Until, WeakNext, Word, check_atoms,
+    format_formula, formula_atoms,
 )
 
 # nonemptiness marker: true on every nonempty word, false on the empty word
 ALIVE = Eventually(TRUE)
 
 MAX_ATOMS = 8
-DEFAULT_STATE_BUDGET = 10_000
+STATE_BUDGET = 10_000  # progression states allowed before minimization
 
 
 class DfaBudgetError(RuntimeError):
@@ -241,7 +240,7 @@ class Dfa:
 
     def __init__(self, atoms: Sequence[str], delta, initial: int, accepting: Iterable[int],
                  annotations: Sequence[str] | None = None, name: str = ""):
-        self.atoms = tuple(atoms)
+        self.atoms = check_atoms(atoms)
         self.delta = np.asarray(delta, dtype=np.int64)
         self.initial = int(initial)
         self.accepting = frozenset(int(q) for q in accepting)
@@ -301,18 +300,28 @@ def dfa_accepts(dfa: Dfa, word: Word) -> bool:
     return dfa.run(word.letters) in dfa.accepting
 
 
-def compile_dfa(formula: Formula, atoms: Sequence[str] | None = None,
-                max_states: int = DEFAULT_STATE_BUDGET, name: str = "") -> Dfa:
+def _bfs(succ, start: int) -> list[int]:
+    """States reachable from ``start``, breadth-first in letter order;
+    ``succ[q]`` lists the successors of q by letter."""
+    order, seen = [start], {start}
+    for q in order:
+        for nxt in succ[q]:
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return order
+
+
+def compile_dfa(formula: Formula, atoms: Sequence[str] | None = None, name: str = "") -> Dfa:
     """Breadth-first progression fixpoint from the canonical form of the formula.
 
     Each state is a distinct canonical key; delta(state, letter) is the
     canonical form of the progressed state; a state accepts iff its residual
     holds on the empty word.  Termination: keys live in the finite boolean
     closure over the formula's temporal atoms (including the F true marker).
+    More than STATE_BUDGET states raise DfaBudgetError.
     """
-    if atoms is None:
-        atoms = sorted(formula_atoms(formula))
-    atoms = tuple(atoms)
+    atoms = check_atoms(sorted(formula_atoms(formula)) if atoms is None else atoms)
     missing = formula_atoms(formula) - set(atoms)
     if missing:
         raise LtlfError(f"formula atoms {sorted(missing)} not in atom set {atoms}")
@@ -325,103 +334,60 @@ def compile_dfa(formula: Formula, atoms: Sequence[str] | None = None,
     index = {key0: 0}
     reps = [rep0]
     rows: list[list[int]] = []
-    queue = deque([0])
-    while queue:
-        q = queue.popleft()
-        rep = reps[q]
+    for rep in reps:  # reps grows as states are found: state q's row is rows[q]
         row = []
         for sigma in letter_sets:
             key, rep_next = canonical_form(_progress(rep, sigma))
             nxt = index.get(key)
             if nxt is None:
                 nxt = len(reps)
-                if nxt >= max_states:
-                    raise DfaBudgetError(f"state budget of {max_states} states exceeded")
+                if nxt >= STATE_BUDGET:
+                    raise DfaBudgetError(f"state budget of {STATE_BUDGET} states exceeded")
                 index[key] = nxt
                 reps.append(rep_next)
-                queue.append(nxt)
             row.append(nxt)
-        while len(rows) <= q:
-            rows.append([])
-        rows[q] = row
-    delta = np.array(rows, dtype=np.int64)
+        rows.append(row)
     accepting = [q for q, rep in enumerate(reps) if empty_accept(rep)]
     annotations = [format_formula(rep) for rep in reps]
-    return Dfa(atoms, delta, 0, accepting, annotations, name=name or format_formula(formula))
+    return Dfa(atoms, rows, 0, accepting, annotations, name=name or format_formula(formula))
 
 
 def minimize_dfa(dfa: Dfa) -> Dfa:
     """Language-equivalent minimal DFA over the reachable states.
 
-    Moore partition refinement; the result is renumbered breadth-first from
-    the initial state (letter order), so state 0 is always the initial state
-    and the numbering is deterministic.
+    Moore partition refinement on the whole table: equivalence depends only
+    on future behaviour, so unreachable states cannot split reachable ones.
+    Each block keeps the annotation of its first state in breadth-first order,
+    and the blocks are numbered breadth-first from the initial one (letter
+    order), so state 0 is always the initial state and the numbering is
+    deterministic.
     """
-    n, n_letters = dfa.delta.shape
-    # reachable states, BFS in letter order
-    reach_order = []
-    seen = {dfa.initial}
-    queue = deque([dfa.initial])
-    while queue:
-        q = queue.popleft()
-        reach_order.append(q)
-        for m in range(n_letters):
-            nxt = int(dfa.delta[q, m])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    sub = np.array(reach_order, dtype=np.int64)
-    old_to_sub = {int(q): i for i, q in enumerate(sub)}
-    delta = np.array([[old_to_sub[int(dfa.delta[q, m])] for m in range(n_letters)] for q in sub])
-    accepting = np.array([int(q) in dfa.accepting for q in sub], dtype=bool)
-
-    block = accepting.astype(np.int64)
+    delta = dfa.delta.tolist()
+    block = [int(q in dfa.accepting) for q in range(dfa.n_states)]
+    n_blocks = len(set(block))
     while True:
-        signature = [(int(block[i]),) + tuple(int(block[delta[i, m]]) for m in range(n_letters))
-                     for i in range(len(sub))]
-        remap: dict[tuple, int] = {}
-        new_block = np.empty_like(block)
-        for i, sig in enumerate(signature):
-            new_block[i] = remap.setdefault(sig, len(remap))
-        if len(remap) == len(set(block.tolist())):
-            block = new_block
+        ids: dict[tuple, int] = {}
+        block = [ids.setdefault((block[q], *(block[t] for t in row)), len(ids))
+                 for q, row in enumerate(delta)]
+        if len(ids) == n_blocks:
             break
-        block = new_block
+        n_blocks = len(ids)
 
-    # renumber blocks breadth-first from the initial block
-    block_delta = {}
-    for i in range(len(sub)):
-        block_delta[int(block[i])] = [int(block[delta[i, m]]) for m in range(n_letters)]
-    order = []
-    seen_b = {int(block[old_to_sub[dfa.initial]])}
-    queue = deque(seen_b)
-    while queue:
-        b = queue.popleft()
-        order.append(b)
-        for nb in block_delta[b]:
-            if nb not in seen_b:
-                seen_b.add(nb)
-                queue.append(nb)
-    new_index = {b: i for i, b in enumerate(order)}
-
-    new_delta = np.zeros((len(order), n_letters), dtype=np.int64)
-    new_accepting = set()
-    annotations: list[str | None] = [None] * len(order)
-    for i in range(len(sub)):
-        b = new_index[int(block[i])]
-        new_delta[b] = [new_index[x] for x in block_delta[int(block[i])]]
-        if accepting[i]:
-            new_accepting.add(b)
-        if annotations[b] is None and dfa.annotations is not None:
-            annotations[b] = dfa.annotations[int(sub[i])]
-    anns = [a or "" for a in annotations] if dfa.annotations is not None else None
-    return Dfa(dfa.atoms, new_delta, 0, new_accepting, anns, name=dfa.name)
+    first: dict[int, int] = {}  # block -> its first state in breadth-first order
+    for q in _bfs(delta, dfa.initial):
+        first.setdefault(block[q], q)
+    quotient = {b: [block[t] for t in delta[q]] for b, q in first.items()}
+    order = _bfs(quotient, block[dfa.initial])
+    number = {b: i for i, b in enumerate(order)}
+    return Dfa(dfa.atoms, [[number[c] for c in quotient[b]] for b in order], 0,
+               [i for i, b in enumerate(order) if first[b] in dfa.accepting],
+               None if dfa.annotations is None else [dfa.annotations[first[b]] for b in order],
+               name=dfa.name)
 
 
-def compile_minimal_dfa(formula_or_text, atoms: Sequence[str] | None = None,
+def compile_minimal_dfa(formula: Formula, atoms: Sequence[str] | None = None,
                         name: str = "") -> Dfa:
-    """Convenience: parse if needed, compile, minimize."""
-    formula = parse_formula(formula_or_text) if isinstance(formula_or_text, str) else formula_or_text
+    """Convenience: compile, minimize."""
     return minimize_dfa(compile_dfa(formula, atoms=atoms, name=name))
 
 

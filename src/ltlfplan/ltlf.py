@@ -31,6 +31,20 @@ class UnknownAtomError(LtlfError):
     pass
 
 
+def check_atoms(atoms: Iterable[str]) -> tuple:
+    """The atom list as a tuple; LtlfError unless its names are distinct
+    identifiers other than the literals ``true`` and ``false``."""
+    atoms = tuple(atoms)
+    for name in atoms:
+        if not isinstance(name, str) or not _IDENT_RE.match(name):
+            raise LtlfError(f"invalid atom name {name!r}")
+        if name in ("true", "false"):
+            raise LtlfError(f"{name!r} is a reserved literal, not an atom")
+    if len(set(atoms)) < len(atoms):
+        raise LtlfError(f"duplicate atom names in {atoms}")
+    return atoms
+
+
 # --------------------------------------------------------------------------
 # Syntax trees
 # --------------------------------------------------------------------------
@@ -56,10 +70,7 @@ class Atom(Formula):
     name: str
 
     def __post_init__(self):
-        if not _IDENT_RE.match(self.name):
-            raise LtlfError(f"invalid atom name {self.name!r}")
-        if self.name in ("true", "false"):
-            raise LtlfError(f"{self.name!r} is a reserved literal, not an atom")
+        check_atoms((self.name,))
 
 
 @dataclass(frozen=True)
@@ -154,10 +165,7 @@ class Word:
     __slots__ = ("atoms", "letters")
 
     def __init__(self, atoms: Sequence[str], letters: Iterable[int]):
-        atoms = tuple(atoms)
-        for name in atoms:
-            if not _IDENT_RE.match(name):
-                raise LtlfError(f"invalid atom name {name!r}")
+        atoms = check_atoms(atoms)
         limit = 1 << len(atoms)
         letters = tuple(int(m) for m in letters)
         for m in letters:
@@ -425,10 +433,6 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
-
-    def error(self, message):
-        _, value, at = self.peek()
-        raise LtlfSyntaxError(message, at)
 
     def parse(self) -> Formula:
         f = self.implies()

@@ -28,6 +28,7 @@ import numpy as np
 from .pomdp import _categorical, condition, derive_seed, initial_beliefs, make_rng, predict
 
 BELIEF_GAP = 1e-2  # L1 distance below which a sampled belief is not admitted
+ORACLE_MAX_TREE = 200_000  # largest history tree exact_value_oracle will recurse through
 
 
 @dataclass
@@ -255,8 +256,8 @@ def _backup_tables(prod) -> _BackupTables:
 def _point_backup(tables: _BackupTables, reward, gamma, beliefs, mat):
     """One point-based backup at every belief against the alpha set ``mat``.
 
-    Returns (new_mat, new_acts, values) where row b is the backed-up vector
-    chosen for beliefs[b] and values[b] its value there.
+    Returns (new_mat, new_acts) where row b is the backed-up vector chosen
+    for beliefs[b], the one of highest value there.
 
     For each (belief b, action a, observation o) the best alpha maximizes
     sum_y pred_a(b)[y] Z[y, o] alpha[y], with pred_a(b) = b P_a; only the
@@ -280,7 +281,7 @@ def _point_backup(tables: _BackupTables, reward, gamma, beliefs, mat):
     value_per_action = (vecs * beliefs).sum(axis=2)
     choice = value_per_action.argmax(axis=0)  # (nb,), ties -> lowest action
     rows = np.arange(nb)
-    return vecs[choice, rows], choice.astype(np.int64), value_per_action[choice, rows]
+    return vecs[choice, rows], choice.astype(np.int64)
 
 
 def _winners(beliefs, mat, acts):
@@ -325,7 +326,7 @@ def solve_discounted(prod, reward, gamma: float, cfg: SolverConfig,
     converged = False
     rounds = 0
     for rounds in range(1, cfg.max_backup_rounds + 1):
-        new_mat, new_acts, _ = _point_backup(tables, reward, gamma, beliefs, mat)
+        new_mat, new_acts = _point_backup(tables, reward, gamma, beliefs, mat)
         mat, acts, new_values = _winners(beliefs, np.vstack([mat, new_mat]),
                                          np.concatenate([acts, new_acts]))
         delta = float(np.max(new_values - point_values))
@@ -358,21 +359,20 @@ def solve_finite_horizon(prod, reward, T: int, cfg: SolverConfig,
                             np.arange(A))
     tables = _backup_tables(prod)
     for t in range(T - 1, -1, -1):
-        new_mat, new_acts, _ = _point_backup(tables, reward, 1.0, stages[t], policy[t + 1].alphas)
+        new_mat, new_acts = _point_backup(tables, reward, 1.0, stages[t], policy[t + 1].alphas)
         mat, acts, _ = _winners(stages[t], new_mat, new_acts)
         policy[t] = AlphaPolicy(mat, acts)
     return TimeIndexedPolicy(policy)
 
 
-def exact_value_oracle(prod, reward, T: int, terminal: np.ndarray | None = None,
-                       max_tree: int = 200_000) -> float:
+def exact_value_oracle(prod, reward, T: int, terminal: np.ndarray | None = None) -> float:
     """Exact optimal expected total reward by full history-tree recursion.
 
-    Guarded against instances whose (|A| * |O|)^T tree would be too large.
+    Guarded against instances whose (|A| * |O|)^T tree exceeds ORACLE_MAX_TREE.
     Independent of the alpha-vector machinery above.
     """
     X, A, O = prod.n_states, prod.n_actions, prod.n_observations
-    if (A * O) ** T > max_tree:
+    if (A * O) ** T > ORACLE_MAX_TREE:
         raise RuntimeError(f"history tree of size ({A}*{O})^{T} exceeds the oracle guard")
     reward = np.asarray(reward, dtype=np.float64)
     terminal = np.zeros(X) if terminal is None else np.asarray(terminal, dtype=np.float64)

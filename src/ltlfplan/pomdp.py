@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ltlf import _IDENT_RE
+from .ltlf import LtlfError, check_atoms
 
 ROW_SUM_ATOL = 1e-9
 LOAD_ATOL = 1e-6
@@ -506,10 +506,10 @@ def model_from_dict(doc: dict) -> LabeledPomdp:
     states = _names(doc["states"], "states")
     actions = _names(doc["actions"], "actions")
     observations = _names(doc["observations"], "observations")
-    atoms = tuple(_names(doc.get("atoms", []), "atoms"))
-    for a in atoms:
-        if not _IDENT_RE.match(a):
-            raise ModelError(f"invalid atom name {a!r}")
+    try:
+        atoms = check_atoms(_names(doc.get("atoms", []), "atoms"))
+    except LtlfError as exc:
+        raise ModelError(str(exc)) from None
     s_index = {s: i for i, s in enumerate(states)}
     a_index = {a: i for i, a in enumerate(actions)}
     o_index = {o: i for i, o in enumerate(observations)}

@@ -49,6 +49,14 @@ def test_compile_syntax_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("atoms", ["a,,b", "a,a", "a,B", "a,true"])
+def test_compile_bad_atom_list_is_an_input_error(atoms, tmp_path, capsys):
+    out = tmp_path / "c"
+    assert run("compile", "--spec", "F a", "--atoms", atoms, "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "dfa.json").exists()
+
+
 def test_compile_dot_output(tmp_path):
     out = tmp_path / "c"
     assert run("compile", "--spec", "F a", "--dot", "--out", str(out), "--quiet") == 0
@@ -223,8 +231,15 @@ def test_bench_dry_run(tmp_path, capsys):
     assert not (out / "bench.csv").exists()
 
 
-def test_bench_unknown_row(tmp_path):
+def test_bench_unknown_row(tmp_path, capsys):
     assert run("bench", "--rows", "M42", "--out", str(tmp_path / "b")) == 3
+    # a row list that names no row is an input error too, dry run or not
+    for rows in (",", ""):
+        for dry_run in ((), ("--dry-run",)):
+            capsys.readouterr()
+            assert run("bench", "--rows", rows, *dry_run, "--out", str(tmp_path / "b")) == 3
+            assert capsys.readouterr().err.startswith("error: --rows")
+    assert not (tmp_path / "b" / "bench.csv").exists()
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])

@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from ltlfplan.benchmarks import MODEL_NAMES, make_model
 from ltlfplan.dfa import (
     ALIVE, Dfa, DfaBudgetError, canonical_form, canonicalize, compile_dfa,
     compile_minimal_dfa, dfa_accepts, dfa_from_dict, dfa_to_dict, dfa_to_dot,
@@ -122,9 +126,10 @@ def test_compile_rejects_too_many_atoms():
         compile_dfa(A, atoms=atoms)
 
 
-def test_compile_budget_error():
+def test_compile_budget_error(monkeypatch):
+    monkeypatch.setattr("ltlfplan.dfa.STATE_BUDGET", 2)
     with pytest.raises(DfaBudgetError):
-        compile_dfa(PHI["phi3"], max_states=2)
+        compile_dfa(PHI["phi3"])
 
 
 def test_compiler_transitions_match_progress_canonicalize():
@@ -162,6 +167,46 @@ def test_minimize_merges_duplicated_sink():
         got = mini.accepts_mask()[mini.run_batch(letters)]
         want = redundant.accepts_mask()[redundant.run_batch(letters)]
         assert np.array_equal(got, want)
+
+
+# sha256 of the sorted-key JSON of [dfa_to_dict(raw), dfa_to_dict(minimize_dfa(raw))]
+# for raw = compile_dfa(f, atoms) over a case's formulas: any change to the
+# states either step keeps, their numbering, acceptance or annotations changes
+# a digest.  An atom case covers every phi1..phi6 over that atom set;
+# "redundant" is the duplicated-sink DFA above plus an unreachable dead state.
+AUTOMATON_DIGESTS = {
+    "ab": "16e240d48467f43031a1faaa7691f6d5fb14193cca45ce6bfa0ed1b645a6383a",
+    "abc": "7a1eceaa3ea1b1cf60c9200d2671042b47fb360674393e56308b625b3acd0dc7",
+    "abcd": "a27ee7490356e3e60cb77eb3ee00983beb32fc2f1f7b872375f6ee771ceb9916",
+    "corpus": "b6bd0f05631423cd329d1cbe9c6e7c907bfa1cfe7347d36f5ab2f133ab82c556",
+    "redundant": "e0c1c3431ed3410fb306dc620764537ffd0b360a4822ae9ad2392073435b7c9b",
+}
+
+
+def automaton_docs(case):
+    if case == "redundant":
+        delta = np.array([[0, 1], [2, 1], [1, 2], [3, 3]])
+        raw = Dfa(("a",), delta, 0, {1, 2}, ["q0", "q1", "q2", "q3"], name="redundant")
+        return [[dfa_to_dict(raw), dfa_to_dict(minimize_dfa(raw))]]
+    if case == "corpus":
+        pairs = [(f, ("a", "b")) for f in formula_corpus(300, seed=2024, depth=4)]
+    else:
+        pairs = [(f, tuple(case)) for f in PHI.values() if formula_atoms(f) <= set(case)]
+    docs = []
+    for f, atoms in pairs:
+        raw = compile_dfa(f, atoms=atoms)
+        docs.append([dfa_to_dict(raw), dfa_to_dict(minimize_dfa(raw))])
+    return docs
+
+
+def test_atom_cases_are_the_preset_atom_sets():
+    assert {"".join(make_model(name).atoms) for name in MODEL_NAMES} == {"ab", "abc", "abcd"}
+
+
+@pytest.mark.parametrize("case", ["ab", "abc", "abcd", "corpus", "redundant"])
+def test_automata_are_the_recorded_bits(case):
+    doc = json.dumps(automaton_docs(case), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == AUTOMATON_DIGESTS[case]
 
 
 def test_minimize_drops_unreachable_states():

@@ -1,6 +1,6 @@
 """Source hygiene: every name a library module imports is used in it, every
-import sits at module level, and only ``product.py`` constructs a
-``ProductPomdp``.
+import sits at module level, only ``product.py`` constructs a
+``ProductPomdp``, and only ``ltlf.py`` names the atom-name pattern.
 
 ``__init__.py`` is exempt from the import check: its imports are the package's
 re-exports.
@@ -108,3 +108,10 @@ def test_the_check_sees_a_product_construction():
                      "a = ProductPomdp(m, d, pairs)\nb = product.ProductPomdp(m, d, pairs)\n"
                      "c = isinstance(a, ProductPomdp)\n")
     assert list(product_constructions(tree)) == [3, 4]
+
+
+def test_only_ltlf_module_names_the_atom_pattern():
+    """Atom lists are checked by ltlf.check_atoms alone; other modules call it."""
+    named = [path.name for path in sorted(SRC.glob("*.py"))
+             if path.name != "ltlf.py" and "_IDENT_RE" in path.read_text()]
+    assert not named, f"_IDENT_RE named outside ltlf.py: {named}"

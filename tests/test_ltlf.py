@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from ltlfplan.dfa import dfa_from_dict
 from ltlfplan.ltlf import (
     FALSE, TRUE, Always, And, Atom, Eventually, Implies, LtlfError, LtlfSyntaxError,
-    Next, Not, Or, Release, Until, UnknownAtomError, WeakNext, Word, enumerate_letters,
-    evaluate_trace, format_formula, formula_atoms, parse_formula, satisfaction_table,
+    Next, Not, Or, Release, Until, UnknownAtomError, WeakNext, Word, check_atoms,
+    enumerate_letters, evaluate_trace, format_formula, formula_atoms, parse_formula,
+    satisfaction_table,
 )
-from ltlfplan.pomdp import make_rng
+from ltlfplan.pomdp import ModelError, make_rng, model_from_dict, model_to_dict
 
-from helpers import formula_corpus, random_formula
+from helpers import formula_corpus, random_formula, uninformative_two_state
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -119,6 +121,34 @@ def test_word_infers_sorted_atoms_and_masks():
     assert w.atoms == ("a", "b")
     assert w.letters == (2, 3, 0)
     assert w.letter_set(1) == frozenset({"a", "b"})
+
+
+BAD_ATOM_LISTS = [["a", "", "b"], ["a", "a"], ["a", "B"], ["a", "true"], ["false"], ["a", 1]]
+
+
+@pytest.mark.parametrize("atoms", BAD_ATOM_LISTS, ids=repr)
+def test_check_atoms_rejects(atoms):
+    with pytest.raises(LtlfError):
+        check_atoms(atoms)
+
+
+# every way an atom list enters the library, with the error it raises
+ATOM_LIST_READERS = {
+    "Word": (lambda atoms: Word(atoms, []), LtlfError),
+    "dfa_from_dict": (lambda atoms: dfa_from_dict(
+        {"atoms": atoms, "delta": [[0] * (1 << len(atoms))], "initial": 0, "accepting": [0]}),
+        LtlfError),
+    "model_from_dict": (lambda atoms: model_from_dict(
+        {**model_to_dict(uninformative_two_state()), "atoms": atoms}), ModelError),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(ATOM_LIST_READERS))
+def test_atom_list_readers_reject_duplicates(reader):
+    read, error = ATOM_LIST_READERS[reader]
+    read(["a", "b"])
+    with pytest.raises(error, match="duplicate atom names"):
+        read(["a", "a"])
 
 
 def test_word_mask_range_checked():

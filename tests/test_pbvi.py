@@ -210,7 +210,8 @@ def random_sparse_instance(seed, X=14, A=3, O=6, n_alphas=9, n_beliefs=40):
 
 def assert_backups_agree(prod, reward, gamma, beliefs, mat, min_clear=0.5):
     want_mat, want_acts, want_values, clear = dense_point_backup(prod, reward, gamma, beliefs, mat)
-    got_mat, got_acts, got_values = _point_backup(_backup_tables(prod), reward, gamma, beliefs, mat)
+    got_mat, got_acts = _point_backup(_backup_tables(prod), reward, gamma, beliefs, mat)
+    got_values = (got_mat * beliefs).sum(axis=1)
     assert np.array_equal(got_acts, want_acts)
     assert np.max(np.abs(got_values - want_values)) <= 1e-12
     assert clear.mean() >= min_clear  # the vector check below is not vacuous
@@ -308,11 +309,12 @@ def test_finite_horizon_solver_matches_oracle_small():
         assert start_value(policy, prod) == pytest.approx(oracle, abs=1e-9)
 
 
-def test_oracle_guards_large_trees():
+def test_oracle_guards_large_trees(monkeypatch):
     model = uninformative_two_state()
     prod = trivial_product(model)
+    monkeypatch.setattr("ltlfplan.pbvi.ORACLE_MAX_TREE", 2)
     with pytest.raises(RuntimeError):
-        exact_value_oracle(prod, prod.rewards, 3, max_tree=2)
+        exact_value_oracle(prod, prod.rewards, 3)
 
 
 # --------------------------------------------------------------------------
