@@ -268,6 +268,8 @@ class Dfa:
             raise LtlfError("delta entry out of range")
         if not self.accepting <= set(range(n)):
             raise LtlfError("accepting set contains unknown states")
+        if self.annotations is not None and len(self.annotations) != n:
+            raise LtlfError(f"{len(self.annotations)} annotations for {n} states")
 
     def step(self, state: int, letter: int) -> int:
         if not 0 <= letter < self.alphabet_size:

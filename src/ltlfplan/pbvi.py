@@ -6,7 +6,10 @@ min(reward)/(1-gamma), and each round performs the standard point-based
 backup at every belief.  Alpha sets are unions of previous vectors and fresh
 backups pruned to the winners at the belief points, so point values are
 nondecreasing round over round and every vector stays a valid lower bound on
-some executable policy's value.
+some executable policy's value.  The work that depends only on the belief
+set (predictions, and per observation the (belief, action) rows with mass)
+is laid out once per solve by ``_backup_plan``; a round scores only those
+rows.
 
 The finite-horizon solver does backward induction with per-stage belief sets
 expanded forward from the initial posteriors; with exhaustive expansion it is
@@ -235,49 +238,64 @@ def expand_stage_beliefs(prod, T: int, cfg: SolverConfig) -> list[np.ndarray]:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _BackupTables:
-    """The product's P and Z laid out for `_point_backup`; built once per solve."""
-    P_flat: np.ndarray   # (X, A*X): P_flat[x, a*X + y] = P[x, a, y]
+class _BackupPlan:
+    """What every point backup at one belief set reuses; built once per solve
+    (once per stage for the finite horizon)."""
+    beliefs: np.ndarray  # (nb, X)
     P_T: np.ndarray      # (A, X, X): P_T[a, y, x] = P[x, a, y]
-    obs: list            # (states y with Z[y, o] > 0, Z[those, o]) per observation with any
+    obs: list            # (support, z, live, weighted) per observation with any support
 
 
-def _backup_tables(prod) -> _BackupTables:
+def _backup_plan(prod, beliefs) -> _BackupPlan:
+    """Lay out the predictions pred_a(b) = b P_a once.  Per observation o,
+    ``support`` holds the states y with Z[y, o] > 0, ``z`` is Z there,
+    ``live`` the rows b*A + a whose weighted prediction pred_a(b)[y] Z[y, o]
+    has any mass and ``weighted`` those rows, Fortran-ordered as the product
+    ``pred[:, support] * z`` comes out: BLAS rounds a matmul by its operands'
+    layout, and a C-ordered copy moves scores by an ulp and flips ties."""
     X, A = prod.n_states, prod.n_actions
+    pred = (beliefs @ prod.P.reshape(X, A * X)).reshape(-1, X)  # row b*A + a is pred_a(b)
     obs = []
     for o in range(prod.n_observations):
         support = np.nonzero(prod.Z[:, o] > 0)[0]
         if support.size:
-            obs.append((support, prod.Z[support, o]))
-    return _BackupTables(P_flat=prod.P.reshape(X, A * X),
-                         P_T=np.ascontiguousarray(prod.P.transpose(1, 2, 0)), obs=obs)
+            z = prod.Z[support, o]
+            weighted = pred[:, support] * z
+            live = np.nonzero(weighted.any(axis=1))[0]
+            obs.append((support, z, live, np.asfortranarray(weighted[live])))
+    return _BackupPlan(beliefs, np.ascontiguousarray(prod.P.transpose(1, 2, 0)), obs)
 
 
-def _point_backup(tables: _BackupTables, reward, gamma, beliefs, mat):
-    """One point-based backup at every belief against the alpha set ``mat``.
+def _point_backup(plan: _BackupPlan, reward, gamma, mat):
+    """One point-based backup at every belief of the plan against the alpha
+    set ``mat``.
 
     Returns (new_mat, new_acts) where row b is the backed-up vector chosen
     for beliefs[b], the one of highest value there.
 
     For each (belief b, action a, observation o) the best alpha maximizes
     sum_y pred_a(b)[y] Z[y, o] alpha[y], with pred_a(b) = b P_a; only the
-    states y with Z[y, o] > 0 enter, and ties (zero-mass pairs included) go
-    to the lowest alpha index.  The chosen alphas fold into
-    H_a[b, y] = sum_o Z[y, o] alpha_best(b, a, o)[y], and the backed-up
-    vector is reward[:, a] + gamma * P_a H_a[b].  A round costs
-    O(A nb (X^2 + nnz(Z) n)) for nb beliefs and n alphas.
+    states y with Z[y, o] > 0 enter, and ties go to the lowest alpha index,
+    so a triple without mass takes alpha 0 unscored.  The chosen alphas fold
+    into H_a[b, y] = sum_o Z[y, o] alpha_best(b, a, o)[y], and the backed-up
+    vector is reward[:, a] + gamma * P_a H_a[b].  The plan costs
+    O(A nb X^2) once for nb beliefs.  A round against n alphas costs
+    O(live n) to score, with live the support sizes summed over the (b, a, o)
+    triples with mass, plus O(A nb X^2) for H @ P_T.
     """
-    X = mat.shape[1]
-    A = tables.P_T.shape[0]
-    nb = beliefs.shape[0]
-    pred = (beliefs @ tables.P_flat).reshape(nb * A, X)  # row b*A + a is pred_a(b)
-    H = np.zeros((nb * A, X))
-    for support, z in tables.obs:
+    beliefs = plan.beliefs
+    nb, X = beliefs.shape
+    A = plan.P_T.shape[0]
+    HT = np.zeros((X, nb * A))  # HT[y, b*A + a] = H_a[b, y]
+    for support, z, live, weighted in plan.obs:
         alphas = mat[:, support]
-        best = ((pred[:, support] * z) @ alphas.T).argmax(axis=1)  # ties -> lowest index
-        H[:, support] += alphas[best] * z
-    H = H.reshape(nb, A, X).transpose(1, 0, 2)
-    vecs = reward.T[:, None, :] + gamma * (H @ tables.P_T)  # (A, nb, X)
+        best = np.zeros(nb * A, dtype=np.intp)
+        best[live] = (weighted @ alphas.T).argmax(axis=1)  # ties -> lowest index
+        HT[support] += (alphas.T * z[:, None]).take(best, axis=1)
+    H = np.ascontiguousarray(HT.T).reshape(nb, A, X).transpose(1, 0, 2)
+    vecs = H @ plan.P_T  # (A, nb, X)
+    vecs *= gamma
+    vecs += reward.T[:, None, :]
     value_per_action = (vecs * beliefs).sum(axis=2)
     choice = value_per_action.argmax(axis=0)  # (nb,), ties -> lowest action
     rows = np.arange(nb)
@@ -322,11 +340,11 @@ def solve_discounted(prod, reward, gamma: float, cfg: SolverConfig,
         mat = np.vstack([mat, warm_start[0]])
         acts = np.concatenate([acts, np.asarray(warm_start[1], dtype=np.int64)])
     mat, acts, point_values = _winners(beliefs, mat, acts)
-    tables = _backup_tables(prod)
+    plan = _backup_plan(prod, beliefs)
     converged = False
     rounds = 0
     for rounds in range(1, cfg.max_backup_rounds + 1):
-        new_mat, new_acts = _point_backup(tables, reward, gamma, beliefs, mat)
+        new_mat, new_acts = _point_backup(plan, reward, gamma, mat)
         mat, acts, new_values = _winners(beliefs, np.vstack([mat, new_mat]),
                                          np.concatenate([acts, new_acts]))
         delta = float(np.max(new_values - point_values))
@@ -357,9 +375,9 @@ def solve_finite_horizon(prod, reward, T: int, cfg: SolverConfig,
     policy = [None] * (T + 1)
     policy[T] = AlphaPolicy(np.stack([reward[:, a] + prod.P[:, a, :] @ terminal for a in range(A)]),
                             np.arange(A))
-    tables = _backup_tables(prod)
     for t in range(T - 1, -1, -1):
-        new_mat, new_acts = _point_backup(tables, reward, 1.0, stages[t], policy[t + 1].alphas)
+        new_mat, new_acts = _point_backup(_backup_plan(prod, stages[t]), reward, 1.0,
+                                          policy[t + 1].alphas)
         mat, acts, _ = _winners(stages[t], new_mat, new_acts)
         policy[t] = AlphaPolicy(mat, acts)
     return TimeIndexedPolicy(policy)

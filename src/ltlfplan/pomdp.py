@@ -81,7 +81,10 @@ class LabeledPomdp:
         self.P = np.ascontiguousarray(P, dtype=np.float64)
         self.Z = np.ascontiguousarray(Z, dtype=np.float64)
         self.varpi = np.ascontiguousarray(varpi, dtype=np.float64)
-        self.atoms = tuple(atoms)
+        try:
+            self.atoms = check_atoms(atoms)
+        except LtlfError as exc:
+            raise ModelError(str(exc)) from None
         self.labels = np.ascontiguousarray(labels, dtype=np.int64)
         self.rewards = np.ascontiguousarray(rewards, dtype=np.float64)
         self.stopping = stopping
@@ -249,7 +252,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def derive_seed(*parts: int) -> int:
     """Stable 128-bit seed from a tuple of integers (order-sensitive)."""
-    digest = hashlib.blake2b(repr(tuple(int(p) for p in parts)).encode(), digest_size=16)
+    digest = hashlib.blake2b(repr(tuple(map(int, parts))).encode(), digest_size=16)
     return int.from_bytes(digest.digest(), "little")
 
 
@@ -506,10 +509,7 @@ def model_from_dict(doc: dict) -> LabeledPomdp:
     states = _names(doc["states"], "states")
     actions = _names(doc["actions"], "actions")
     observations = _names(doc["observations"], "observations")
-    try:
-        atoms = check_atoms(_names(doc.get("atoms", []), "atoms"))
-    except LtlfError as exc:
-        raise ModelError(str(exc)) from None
+    atoms = _names(doc.get("atoms", []), "atoms")  # checked by LabeledPomdp
     s_index = {s: i for i, s in enumerate(states)}
     a_index = {a: i for i, a in enumerate(actions)}
     o_index = {o: i for i, o in enumerate(observations)}

@@ -70,6 +70,14 @@ def test_product_command(tmp_path, model_file, capsys):
     assert (out / "product.json").exists()
 
 
+def test_product_model_with_repeated_atoms_is_an_input_error(tmp_path, model_file, capsys):
+    doc = json.loads(Path(model_file).read_text())
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({**doc, "atoms": doc["atoms"] * 2}))
+    assert run("product", "--model", str(path), "--spec", "F g", "--out", str(tmp_path / "p")) == 3
+    assert "duplicate atom names" in capsys.readouterr().err
+
+
 def test_product_accepts_rows_within_the_load_tolerance(tmp_path, model_file):
     doc = json.loads(Path(model_file).read_text())
     row = next(r for r in doc["transitions"] if (r["state"], r["action"]) == ("home", "stay"))

@@ -307,6 +307,13 @@ def test_dfa_dict_validation():
         dfa_from_dict(doc)
 
 
+def test_dfa_dict_needs_one_annotation_per_state():
+    doc = {"atoms": ["a"], "delta": [[0, 1], [1, 1]], "initial": 0, "accepting": [1]}
+    assert dfa_from_dict({**doc, "annotations": ["x", "y"]}).annotations == ["x", "y"]
+    with pytest.raises(LtlfError, match="1 annotations for 2 states"):
+        dfa_from_dict({**doc, "annotations": ["x"]})
+
+
 def test_dot_export_mentions_every_state():
     d = compile_minimal_dfa(PHI["phi1"])
     dot = dfa_to_dot(d)

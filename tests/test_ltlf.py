@@ -8,7 +8,7 @@ from ltlfplan.ltlf import (
     enumerate_letters, evaluate_trace, format_formula, formula_atoms, parse_formula,
     satisfaction_table,
 )
-from ltlfplan.pomdp import ModelError, make_rng, model_from_dict, model_to_dict
+from ltlfplan.pomdp import LabeledPomdp, ModelError, make_rng, model_from_dict, model_to_dict
 
 from helpers import formula_corpus, random_formula, uninformative_two_state
 
@@ -132,8 +132,15 @@ def test_check_atoms_rejects(atoms):
         check_atoms(atoms)
 
 
+def labeled_pomdp_over(atoms):
+    m = uninformative_two_state()
+    return LabeledPomdp(m.name, m.states, m.actions, m.observations, m.P, m.Z, m.varpi,
+                        atoms, m.labels, m.rewards, m.stopping)
+
+
 # every way an atom list enters the library, with the error it raises
 ATOM_LIST_READERS = {
+    "LabeledPomdp": (labeled_pomdp_over, ModelError),
     "Word": (lambda atoms: Word(atoms, []), LtlfError),
     "dfa_from_dict": (lambda atoms: dfa_from_dict(
         {"atoms": atoms, "delta": [[0] * (1 << len(atoms))], "initial": 0, "accepting": [0]}),

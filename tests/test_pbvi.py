@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +14,7 @@ from ltlfplan import pbvi
 from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import TRUE, parse_formula
 from ltlfplan.pbvi import (
-    AlphaPolicy, SolverConfig, TimeIndexedPolicy, _backup_tables, _point_backup,
+    AlphaPolicy, SolverConfig, TimeIndexedPolicy, _backup_plan, _point_backup,
     check_policy, exact_value_oracle, load_policy, mdp_upper_bound, policy_from_dict,
     policy_to_dict, save_policy, solve_discounted, solve_finite_horizon, start_value,
 )
@@ -119,6 +124,67 @@ def test_solver_deterministic():
     assert np.array_equal(p1.alphas, p2.alphas)
 
 
+# sha256 of a solve's alpha matrix bytes, action bytes, round count and
+# converged flag (per stage for the finite-horizon case): any change to which
+# vectors a round backs up or keeps, or to a single bit of one, changes a
+# digest.  Preset rows are their pruned products at lam = B/2, solved cold.
+# The digests are taken with BLAS on one thread, as perfbench runs: with two
+# OpenBLAS threads the point values beliefs @ mat.T differ in the last bit,
+# and M1's digest changes.
+SOLVER_DIGESTS = {
+    "M1": "7af1a0be7515c80c69dc37eb240616ee9b25d93ffae09e8905b37eef22f556d3",
+    "M2": "a838edc2e755dee056a459da69164246d039977140cba65b506a68a3f70eaaf4",
+    "M7": "e47f4a111cdfd952cc3b9087352c45b7076e33343cf5b7d0dc2c3d3a57d4fcc2",
+    "M9": "da3727b728a71a25a9c4e1737e09a320377e91cbf7cbad52e1f267063a52698f",
+    "finite": "04e821496f37b1333cc6a8a7c0e0c06cc80639d112f9fa525d873347ec80ae1e",
+}
+
+
+def solver_digest(case):
+    digest = hashlib.sha256()
+    if case == "finite":
+        P = np.zeros((3, 2, 3))
+        P[0] = ((0.5, 0.5, 0.0), (0.1, 0.2, 0.7))
+        P[1] = ((0.0, 0.6, 0.4), (0.8, 0.0, 0.2))
+        P[2] = ((0.3, 0.3, 0.4), (0.0, 0.0, 1.0))
+        model = fully_observable(P, [[0.1, 0.9], [2.0, 0.0], [0.0, 0.5]], labels=[0, 0, 1],
+                                 stopping=StoppingModel.fixed(4))
+        prod = product_of(model, "F a")
+        policy = solve_finite_horizon(prod, prod.rewards, 4, SolverConfig(n_beliefs=20, expansion_seed=1),
+                                      terminal=0.7 * prod.r_final)
+        stages = [(stage, None) for stage in policy]
+    else:
+        prod, preset = build_instance(case), PRESETS[case]
+        reward, _ = scalarize(prod, preset.B / 2, 1.0 - preset.threshold)
+        policy = solve_discounted(prod, reward, prod.stopping.gamma,
+                                  SolverConfig(expansion_seed=1, max_backup_rounds=60))
+        stages = [(policy, policy.stats["rounds"])]
+    for stage, rounds in stages:
+        digest.update(stage.alphas.tobytes())
+        digest.update(stage.actions.tobytes())
+        digest.update(repr(rounds).encode())
+    digest.update(repr(policy.converged).encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def solver_digests():
+    """Every case's digest, from one child process with BLAS on one thread."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+               **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    code = ("import json, test_pbvi; "
+            f"print(json.dumps({{c: test_pbvi.solver_digest(c) for c in {sorted(SOLVER_DIGESTS)!r}}}))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_DIGESTS))
+def test_solves_are_the_recorded_bits(case, solver_digests):
+    assert solver_digests[case] == SOLVER_DIGESTS[case]
+
+
 def test_nonconvergence_flagged_not_raised():
     model = uninformative_two_state(stopping=StoppingModel.geometric(0.99))
     prod = trivial_product(model)
@@ -210,7 +276,7 @@ def random_sparse_instance(seed, X=14, A=3, O=6, n_alphas=9, n_beliefs=40):
 
 def assert_backups_agree(prod, reward, gamma, beliefs, mat, min_clear=0.5):
     want_mat, want_acts, want_values, clear = dense_point_backup(prod, reward, gamma, beliefs, mat)
-    got_mat, got_acts = _point_backup(_backup_tables(prod), reward, gamma, beliefs, mat)
+    got_mat, got_acts = _point_backup(_backup_plan(prod, beliefs), reward, gamma, mat)
     got_values = (got_mat * beliefs).sum(axis=1)
     assert np.array_equal(got_acts, want_acts)
     assert np.max(np.abs(got_values - want_values)) <= 1e-12
