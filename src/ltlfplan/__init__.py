@@ -33,7 +33,7 @@ from .pbvi import (
 )
 from .planner import (
     ConstrainedProblem, EGResult, MixedPolicy, auto_eta, eg_solve, eg_update_lambda,
-    mc_evaluate, reduce_support_bfs, regret_bound, scalarize, theorem2_report,
+    mc_evaluate, reduce_support_bfs, regret_bound, result_to_dict, scalarize,
 )
 from .benchmarks import PRESETS, make_model, make_spec, run_experiment
 

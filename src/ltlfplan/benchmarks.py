@@ -140,10 +140,8 @@ def build_grid_model(spec: GridSpec) -> LabeledPomdp:
             near = [index[n] for n in ((x, y + 1), (x, y - 1), (x + 1, y), (x - 1, y)) if n in index]
             Z[c, near] = 1.0 / len(near)
 
-    model = LabeledPomdp(spec.name, states, list(ACTIONS), observations, P, Z, varpi,
-                         atoms, labels, rewards, StoppingModel.geometric(GAMMA))
-    model.validate()
-    return model
+    return LabeledPomdp(spec.name, states, list(ACTIONS), observations, P, Z, varpi,
+                        atoms, labels, rewards, StoppingModel.geometric(GAMMA))
 
 
 # M8 and M9 hide the object at one of two corners, detected from an adjacent cell
@@ -322,7 +320,6 @@ def chain3(gamma: float = 0.9):
                          P, Z, np.array([1.0, 0.0, 0.0]), ("a",),
                          np.array([0, 0, 1]), np.zeros((3, 1)),
                          StoppingModel.geometric(gamma))
-    model.validate()
     return model, "F a"
 
 
@@ -345,7 +342,6 @@ def twostate_constrained(gamma: float = 0.9):
     model = LabeledPomdp("twostate", states, ["stay", "go"], states, P, Z,
                          np.array([1.0, 0.0]), ("g",), np.array([0, 1]), rewards,
                          StoppingModel.geometric(gamma))
-    model.validate()
     return model, "F g"
 
 
@@ -359,7 +355,6 @@ def accepting_sink_instance(gamma: float = 0.5):
     model = LabeledPomdp("sink", ["s0", "s1"], ["go"], ["tick"], P, Z,
                          np.array([1.0, 0.0]), ("a",), np.array([1, 1]),
                          np.zeros((2, 1)), StoppingModel.geometric(gamma))
-    model.validate()
     return model, "F a"
 
 
@@ -373,7 +368,7 @@ def random_tiny_model(seed: int, n_states: int = 2, n_actions: int = 2, n_obs: i
         return raw / raw.sum(axis=-1, keepdims=True)
 
     atoms = tuple("ab"[:n_atoms])
-    model = LabeledPomdp(
+    return LabeledPomdp(
         f"tiny{seed}",
         [f"s{i}" for i in range(n_states)],
         [f"a{i}" for i in range(n_actions)],
@@ -386,8 +381,6 @@ def random_tiny_model(seed: int, n_states: int = 2, n_actions: int = 2, n_obs: i
         np.round(rng.random((n_states, n_actions)), 3),
         StoppingModel.fixed(horizon),
     )
-    model.validate()
-    return model
 
 
 def coupling_suite():

@@ -10,8 +10,8 @@ columns.  Exit codes: 0 success, 2 usage, 3 input validation, 4 runtime.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,19 +23,22 @@ from .benchmarks import (
     trajectory_table,
 )
 from .dfa import compile_minimal_dfa, dfa_to_dot, save_dfa
+from .files import read_json, write_csv, write_json
 from .ltlf import LtlfError, parse_formula
 from .pbvi import SolverConfig, check_policy, load_policy, policy_from_dict, save_policy
 from .planner import (
-    ConstrainedProblem, MixedPolicy, eg_solve, export_trace_csv, mc_evaluate, rollout_policy,
-    save_result,
+    ConstrainedProblem, MixedPolicy, eg_solve, export_trace_csv, mc_evaluate, rollout, save_result,
 )
-from .pomdp import ModelError, derive_seed, load_model
+from .pomdp import ModelError, load_model
 from .product import constrained_product, save_product
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
+
+# same-seed solves replay bit for bit only at the same BLAS thread count
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ValidationFailure(Exception):
@@ -55,10 +58,9 @@ def _write_manifest(out: Path, command: str, args, resolved: dict) -> None:
         "config": {k: v for k, v in resolved.items() if not k.endswith("_path")},
         "seed": getattr(args, "seed", None),
         "version": __version__,
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", doc, sort_keys=True)
 
 
 def _say(args, message: str) -> None:
@@ -74,13 +76,18 @@ def _load_spec_text(args) -> str:
     raise ValidationFailure("one of --spec or --spec-file is required")
 
 
-def _resolve_model(path_or_name: str):
-    if path_or_name in MODEL_NAMES:
-        return make_model(path_or_name)
-    if not Path(path_or_name).is_file():
-        raise ValidationFailure(f"unknown model {path_or_name!r}: neither a model file "
+def _product(args):
+    """(spec text, pruned product) of --model, a builtin name or a model file,
+    and --spec or --spec-file."""
+    if args.model in MODEL_NAMES:
+        model = make_model(args.model)
+    elif Path(args.model).is_file():
+        model = load_model(args.model)
+    else:
+        raise ValidationFailure(f"unknown model {args.model!r}: neither a model file "
                                 f"nor a builtin name ({', '.join(MODEL_NAMES)})")
-    return load_model(path_or_name)
+    text = _load_spec_text(args)
+    return text, constrained_product(model, text)
 
 
 # --------------------------------------------------------------------------
@@ -103,21 +110,17 @@ def cmd_compile(args) -> int:
 
 
 def cmd_product(args) -> int:
-    model = _resolve_model(args.model)
-    text = _load_spec_text(args)
-    prod = constrained_product(model, text)
+    text, prod = _product(args)
     out = _out_dir(args)
     save_product(prod, out / "product.json")
     _write_manifest(out, "product", args, {"model_path": args.model, "spec": text})
-    _say(args, f"product states: {prod.n_states} (dense {model.n_states * prod.dfa.n_states})  "
+    _say(args, f"product states: {prod.n_states} (dense {prod.base.n_states * prod.dfa.n_states})  "
                f"|Q|: {prod.dfa.n_states}")
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    model = _resolve_model(args.model)
-    text = _load_spec_text(args)
-    prod = constrained_product(model, text)
+    text, prod = _product(args)
     try:
         eta = "auto" if args.eta == "auto" else float(args.eta)
         problem = ConstrainedProblem(product=prod, threshold=args.threshold, B=args.B,
@@ -137,21 +140,16 @@ def cmd_solve(args) -> int:
         rel = f"policies/policy_{i + 1:04d}.json"
         save_policy(policy, out / rel)
         policy_files.append(rel)
-    with open(out / "mixture.json", "w") as fh:
-        json.dump({"weights": result.mixture.weights.tolist(), "policies": policy_files}, fh, indent=1)
-        fh.write("\n")
+    write_json(out / "mixture.json",
+               {"weights": result.mixture.weights.tolist(), "policies": policy_files})
     if result.bfs_mixture is not None:
         support = np.nonzero(result.bfs_weights)[0]
-        with open(out / "bfs_mixture.json", "w") as fh:
-            json.dump({"weights": result.bfs_mixture.weights.tolist(),
-                       "policies": [policy_files[i] for i in support],
-                       "lp_weights": result.bfs_weights.tolist()}, fh, indent=1)
-            fh.write("\n")
+        write_json(out / "bfs_mixture.json", {"weights": result.bfs_mixture.weights.tolist(),
+                                              "policies": [policy_files[i] for i in support],
+                                              "lp_weights": result.bfs_weights.tolist()})
     save_result(result, out / "result.json")
     export_trace_csv(result, out / "trace.csv")
-    with open(out / "timings.json", "w") as fh:
-        json.dump(result.timings, fh, indent=1)
-        fh.write("\n")
+    write_json(out / "timings.json", result.timings)
     _write_manifest(out, "solve", args, {
         "model_path": args.model, "spec": text, "threshold": args.threshold,
         "B": args.B, "K": args.K, "eta": result.eta, "simu": args.simu,
@@ -168,9 +166,8 @@ def cmd_solve(args) -> int:
 def _load_policy_for(path: Path, prod):
     """The policy or mixture in a file, every member checked to run on the
     product (pbvi.check_policy)."""
+    doc = read_json(path, ValidationFailure, "policy")
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
         if "policies" in doc and "weights" in doc:
             policy = MixedPolicy([load_policy(path.parent / rel) for rel in doc["policies"]],
                                  doc["weights"])
@@ -188,9 +185,7 @@ def _load_policy_for(path: Path, prod):
 def cmd_evaluate(args) -> int:
     if args.rollouts < 1:
         raise ValidationFailure(f"--rollouts must be >= 1, got {args.rollouts}")
-    model = _resolve_model(args.model)
-    text = _load_spec_text(args)
-    prod = constrained_product(model, text)
+    text, prod = _product(args)
     policy = _load_policy_for(Path(args.policy), prod)
     est = mc_evaluate(policy, prod, args.rollouts, args.seed)
     report = {"r_hat": est.r_hat, "p_hat": est.p_hat, "r_se": est.r_se, "p_se": est.p_se,
@@ -198,9 +193,7 @@ def cmd_evaluate(args) -> int:
     print(json.dumps(report, indent=1))
     if args.out:
         out = _out_dir(args)
-        with open(out / "evaluation.json", "w") as fh:
-            json.dump(report, fh, indent=1)
-            fh.write("\n")
+        write_json(out / "evaluation.json", report)
         _write_manifest(out, "evaluate", args,
                         {"model_path": args.model, "policy_path": args.policy,
                          "spec": text, "rollouts": args.rollouts})
@@ -241,27 +234,17 @@ def cmd_bench(args) -> int:
             failures += 1
         table.append(row)
         _say(args, f"{name}: r_hat={row['r_hat']} p_hat={row['p_hat']} error={row['error'] or '-'}")
-    with open(out / "bench.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(table)
+    write_csv(out / "bench.csv", CSV_COLUMNS, table)
     _write_manifest(out, "bench", args, {"rows": rows, "K_scale": args.K_scale, "dry_run": False})
     return EXIT_RUNTIME if failures else EXIT_OK
 
 
 def cmd_trace(args) -> int:
-    model = _resolve_model(args.model)
-    text = _load_spec_text(args)
-    prod = constrained_product(model, text)
+    text, prod = _product(args)
     policy = _load_policy_for(Path(args.policy), prod)
-    # replay rollout 0 of `evaluate --seed` with the same policy file
-    traj = prod.simulate(rollout_policy(policy, args.seed, 0), derive_seed(args.seed, 0))
+    traj = rollout(policy, prod, args.seed, 0)  # rollout 0 of `evaluate --seed`
     out = _out_dir(args)
-    rows = trajectory_table(prod, traj)
-    with open(out / "trace.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["t", "s", "q", "a", "o", "r"])
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(out / "trace.csv", ["t", "s", "q", "a", "o", "r"], trajectory_table(prod, traj))
     frames = render_trajectory_ascii(prod, traj)
     (out / "trace.txt").write_text(frames + "\n")
     _write_manifest(out, "trace", args,

@@ -11,11 +11,12 @@ needed.  Moore partition refinement yields the minimal automaton.
 
 from __future__ import annotations
 
-import json
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .files import read_json, write_json
 from .ltlf import (
     FALSE, TRUE, Always, And, Atom, Eventually, FalseConst, Formula, Implies,
     LtlfError, Next, Not, Or, Release, TrueConst, Until, WeakNext, Word, check_atoms,
@@ -411,24 +412,26 @@ def dfa_to_dict(dfa: Dfa) -> dict:
 
 def dfa_from_dict(doc: dict) -> Dfa:
     try:
-        dfa = Dfa(doc["atoms"], doc["delta"], doc["initial"], doc["accepting"],
-                  doc.get("annotations"), name=doc.get("name", ""))
+        atoms, delta, initial, accepting = [doc[f] for f in ("atoms", "delta", "initial",
+                                                              "accepting")]
     except KeyError as exc:
         raise LtlfError(f"DFA document missing field {exc}") from exc
+    if not (isinstance(delta, list) and all(isinstance(row, list) for row in delta)
+            and isinstance(accepting, list)
+            and all(type(q) is int for q in [initial, *accepting, *chain(*delta)])):
+        raise LtlfError("DFA initial, accepting and delta entries must be JSON integers")
+    dfa = Dfa(atoms, delta, initial, accepting, doc.get("annotations"), name=doc.get("name", ""))
     if dfa.n_states != doc.get("n_states", dfa.n_states):
         raise LtlfError("n_states does not match delta table")
     return dfa
 
 
 def save_dfa(dfa: Dfa, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(dfa_to_dict(dfa), fh, indent=1)
-        fh.write("\n")
+    write_json(path, dfa_to_dict(dfa))
 
 
 def load_dfa(path) -> Dfa:
-    with open(path) as fh:
-        return dfa_from_dict(json.load(fh))
+    return dfa_from_dict(read_json(path, LtlfError, "DFA"))
 
 
 def dfa_to_dot(dfa: Dfa) -> str:

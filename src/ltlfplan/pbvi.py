@@ -23,11 +23,11 @@ value of the product MDP, which sees the state, read through b0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .files import read_json, write_json
 from .pomdp import _categorical, condition, derive_seed, initial_beliefs, make_rng, predict
 
 BELIEF_GAP = 1e-2  # L1 distance below which a sampled belief is not admitted
@@ -123,6 +123,17 @@ def start_value(policy, prod) -> float:
     return sum(p * policy.value_at(b, 0) for p, _, b in initial_beliefs(prod))
 
 
+def _reward_map(prod, reward) -> np.ndarray:
+    """``reward`` as a float64 (X, A) map with finite entries; ValueError otherwise."""
+    reward = np.asarray(reward, dtype=np.float64)
+    if reward.shape != (prod.n_states, prod.n_actions):
+        raise ValueError(f"reward map shape {reward.shape}, expected "
+                         f"{(prod.n_states, prod.n_actions)}")
+    if not np.all(np.isfinite(reward)):
+        raise ValueError("reward map has non-finite entries")
+    return reward
+
+
 def mdp_upper_bound(prod, reward, terminal: np.ndarray | None = None) -> float:
     """Upper bound on the optimal start value: the QMDP/FIB bound
     E_o0[ max_a b0(o0) . Q[:, a] ] with Q the optimal Q-table of the product
@@ -134,12 +145,8 @@ def mdp_upper_bound(prod, reward, terminal: np.ndarray | None = None) -> float:
     Fixed stopping: T+1 steps of backward induction onto ``terminal``, the
     stage rule of solve_finite_horizon.
     """
-    reward = np.asarray(reward, dtype=np.float64)
+    reward = _reward_map(prod, reward)  # finite, so value iteration stops
     X, A = prod.n_states, prod.n_actions
-    if reward.shape != (X, A):
-        raise ValueError(f"reward map shape {reward.shape}, expected {(X, A)}")
-    if not np.all(np.isfinite(reward)):
-        raise ValueError("reward map has non-finite entries")  # value iteration would not stop
     P = prod.P.reshape(X * A, X)  # row x*A + a is P[x, a, :]
     stopping = prod.stopping
     if stopping.kind == "geometric":
@@ -328,9 +335,7 @@ def solve_discounted(prod, reward, gamma: float, cfg: SolverConfig,
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("discounted solver needs 0 < gamma < 1")
-    reward = np.asarray(reward, dtype=np.float64)
-    if reward.shape != (prod.n_states, prod.n_actions):
-        raise ValueError(f"reward map shape {reward.shape}, expected {(prod.n_states, prod.n_actions)}")
+    reward = _reward_map(prod, reward)
     if beliefs is None:
         beliefs = expand_beliefs_random_walk(prod, cfg, gamma)
     floor = reward.min() / (1.0 - gamma)
@@ -365,10 +370,8 @@ def solve_finite_horizon(prod, reward, T: int, cfg: SolverConfig,
     """
     if T < 0:
         raise ValueError("horizon must be >= 0")
-    reward = np.asarray(reward, dtype=np.float64)
+    reward = _reward_map(prod, reward)
     X, A = prod.n_states, prod.n_actions
-    if reward.shape != (X, A):
-        raise ValueError(f"reward map shape {reward.shape}, expected {(X, A)}")
     terminal = np.zeros(X) if terminal is None else np.asarray(terminal, dtype=np.float64)
     stages = expand_stage_beliefs(prod, T, cfg)
 
@@ -421,9 +424,17 @@ def _vectors_to_list(policy: AlphaPolicy) -> list:
     return [{"action": int(a), "values": v.tolist()} for a, v in zip(policy.actions, policy.alphas)]
 
 
+def _integer(value, where: str) -> int:
+    """A JSON integer (not a bool or a float), else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def _vectors_from_list(vectors: list, **kwargs) -> AlphaPolicy:
     return AlphaPolicy(np.array([v["values"] for v in vectors], dtype=np.float64),
-                       [int(v["action"]) for v in vectors], **kwargs)
+                       [_integer(v["action"], "an alpha vector's action") for v in vectors],
+                       **kwargs)
 
 
 def policy_to_dict(policy) -> dict:
@@ -441,17 +452,20 @@ def policy_from_dict(doc: dict):
     """The policy a policy file holds; ValueError when the file is inconsistent."""
     kind = doc["kind"]
     converged = doc.get("converged", True)
+    if type(converged) is not bool:
+        raise ValueError(f"converged must be true or false, got {converged!r}")
+    n_states = _integer(doc["n_states"], "n_states")
     if kind == "stationary":
         policy = _vectors_from_list(doc["alphas"], gamma=doc.get("gamma"), converged=converged)
     elif kind == "time_indexed":
         policy = TimeIndexedPolicy([_vectors_from_list(stage) for stage in doc["alphas"]],
                                    converged=converged)
-        if doc.get("horizon") != policy.horizon:
+        if _integer(doc.get("horizon"), "horizon") != policy.horizon:
             raise ValueError(f"horizon {doc.get('horizon')!r} but {len(policy)} stages")
     else:
         raise ValueError(f"unknown policy kind {kind!r}")
-    if doc["n_states"] != policy.n_states:
-        raise ValueError(f"n_states {doc['n_states']!r} but alpha vectors of length {policy.n_states}")
+    if n_states != policy.n_states:
+        raise ValueError(f"n_states {n_states} but alpha vectors of length {policy.n_states}")
     return policy
 
 
@@ -472,11 +486,8 @@ def check_policy(policy, prod) -> None:
 
 
 def save_policy(policy, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(policy_to_dict(policy), fh)
-        fh.write("\n")
+    write_json(path, policy_to_dict(policy), indent=None)
 
 
 def load_policy(path):
-    with open(path) as fh:
-        return policy_from_dict(json.load(fh))
+    return policy_from_dict(read_json(path, ValueError, "policy"))

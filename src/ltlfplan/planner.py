@@ -24,8 +24,6 @@ lam_k, minus the iterate's start value, is the gap recorded per iteration.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -33,10 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pbvi
+from .files import write_csv, write_json
 from .pbvi import (
     SolverConfig, mdp_upper_bound, solve_discounted, solve_finite_horizon, start_value,
 )
-from .pomdp import RolloutCache, _categorical, derive_seed
+from .pomdp import RolloutCache, Trajectory, _categorical, derive_seed
 from .product import ProductPomdp
 
 
@@ -145,13 +144,15 @@ class EGResult:
 def scalarize(prod: ProductPomdp, lam: float, delta: float):
     """Fold the final-reward channel into the step reward at multiplier lam.
 
-    Geometric stopping: returns (reward map, offset) with
-    reward = r_step + lam*(1-gamma)/gamma * r_final and
+    Returns (reward map, terminal reward, offset).
+
+    Geometric stopping: reward = r_step + lam*(1-gamma)/gamma * r_final, no
+    terminal reward (None) and
     offset = -lam*(1-gamma)/gamma * r_final(x0) - lam*(1-delta), so the
     Lagrangian equals the gamma-discounted value of the map plus the offset.
 
-    Fixed stopping: returns (stage reward, terminal reward, offset) where the
-    terminal channel lam*r_final applies after the last action and
+    Fixed stopping: the stage reward r_step, the terminal channel
+    lam*r_final that applies after the last action, and
     offset = -lam*(1-delta).
     """
     stopping = prod.stopping
@@ -161,12 +162,10 @@ def scalarize(prod: ProductPomdp, lam: float, delta: float):
         reward = prod.rewards + coef * prod.r_final[:, None]
         q0_accepting = prod.dfa.initial in prod.dfa.accepting
         offset = -coef * (1.0 if q0_accepting else 0.0) - lam * (1.0 - delta)
-        return reward, offset
-    if stopping.kind == "fixed":
-        terminal = lam * prod.r_final
-        offset = -lam * (1.0 - delta)
-        return prod.rewards.copy(), terminal, offset
-    raise ValueError(f"unsupported stopping kind {stopping.kind!r}")
+        return reward, None, offset
+    terminal = lam * prod.r_final  # fixed stopping
+    offset = -lam * (1.0 - delta)
+    return prod.rewards.copy(), terminal, offset
 
 
 # --------------------------------------------------------------------------
@@ -194,14 +193,18 @@ def eg_update_lambda(lam: float, p_hat: float, eta: float, B: float, delta: floa
 _SELECT_STREAM = 0x5E1EC7
 
 
-def rollout_policy(policy, seed: int, i: int, cache: RolloutCache | None = None):
-    """The pure policy that rollout i of ``mc_evaluate(policy, prod, n, seed)``
-    executes; a MixedPolicy draws it from the selection stream (seed, i),
-    read from the generator of ``cache`` (a fresh one when None)."""
-    if not isinstance(policy, MixedPolicy):
-        return policy
-    select_rng = (cache or RolloutCache()).rng(derive_seed(seed, i, _SELECT_STREAM))
-    return policy.policies[_categorical(select_rng, policy.weights)]
+def rollout(policy, prod: ProductPomdp, seed: int, i: int,
+            cache: RolloutCache | None = None) -> Trajectory:
+    """Rollout i of ``mc_evaluate(policy, prod, n, seed)``.  A MixedPolicy
+    first draws its pure policy from the selection stream (seed, i); the run
+    then draws from the stream derive_seed(seed, i).  Both streams come from
+    the generator of ``cache``, a fresh one when None."""
+    if cache is None:
+        cache = RolloutCache()
+    if isinstance(policy, MixedPolicy):
+        select_rng = cache.rng(derive_seed(seed, i, _SELECT_STREAM))
+        policy = policy.policies[_categorical(select_rng, policy.weights)]
+    return prod.simulate(policy, derive_seed(seed, i), cache)
 
 
 def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
@@ -219,7 +222,7 @@ def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
     finals = np.empty(n)
     cache = RolloutCache()
     for i in range(n):
-        traj = prod.simulate(rollout_policy(policy, seed, i, cache), derive_seed(seed, i), cache)
+        traj = rollout(policy, prod, seed, i, cache)
         totals[i] = traj.rewards.sum()
         finals[i] = prod.accepts_at_stop[traj.states[-1]]
     r_se = float(totals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -315,13 +318,11 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None) -> EG
     def inner_solve(multiplier, warm_start):
         """The multiplier's policy and its gap at b0: the MDP upper bound minus
         the policy's start value, both on the scalarized scale."""
+        reward, terminal, _ = scalarize(prod, multiplier, delta)
         if stopping.kind == "geometric":
-            reward, _ = scalarize(prod, multiplier, delta)
-            terminal = None
             policy = solve_discounted(prod, reward, stopping.gamma, cfg, warm_start=warm_start,
                                       beliefs=beliefs)
         else:
-            reward, terminal, _ = scalarize(prod, multiplier, delta)
             policy = solve_finite_horizon(prod, reward, stopping.T, cfg, terminal=terminal)
         return policy, mdp_upper_bound(prod, reward, terminal) - start_value(policy, prod)
 
@@ -380,10 +381,15 @@ def trace_rows(result: EGResult) -> list[dict]:
             for rec in result.records]
 
 
-def theorem2_report(result: EGResult) -> dict:
-    """Regret bound, achieved estimates, the upper bound on sup R with the
-    satisfaction bound eps_f it gives, and the per-iteration trace (with each
-    iterate's gap at b0) behind the multiplier/reward/satisfaction plot."""
+# --------------------------------------------------------------------------
+# Result files
+# --------------------------------------------------------------------------
+
+def result_to_dict(result: EGResult) -> dict:
+    """The run report of result.json: regret bound, achieved estimates, the
+    upper bound on sup R with the satisfaction bound eps_f it gives, the
+    per-iteration trace (with each iterate's gap at b0) behind the
+    multiplier/reward/satisfaction plot, and the mixture weights."""
     return {
         "bound": result.bound,
         "B": result.B,
@@ -396,29 +402,15 @@ def theorem2_report(result: EGResult) -> dict:
         "r_m_upper_bound": result.r_m_upper,
         "eps_f_surrogate": result.eps_f,
         "trace": trace_rows(result),
+        "slack": result.slack,
+        "bfs_weights": None if result.bfs_weights is None else result.bfs_weights.tolist(),
+        "mixture_weights": result.mixture.weights.tolist(),
     }
 
 
-# --------------------------------------------------------------------------
-# Result files
-# --------------------------------------------------------------------------
-
 def export_trace_csv(result: EGResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
-        writer.writeheader()
-        writer.writerows(trace_rows(result))
-
-
-def result_to_dict(result: EGResult) -> dict:
-    doc = theorem2_report(result)
-    doc["slack"] = result.slack
-    doc["bfs_weights"] = None if result.bfs_weights is None else result.bfs_weights.tolist()
-    doc["mixture_weights"] = result.mixture.weights.tolist()
-    return doc
+    write_csv(path, TRACE_COLUMNS, trace_rows(result))
 
 
 def save_result(result: EGResult, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(result_to_dict(result), fh, indent=1)
-        fh.write("\n")
+    write_json(path, result_to_dict(result))

@@ -9,13 +9,13 @@ rollouts can run in any order.
 from __future__ import annotations
 
 import hashlib
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .files import read_json, write_json
 from .ltlf import LtlfError, check_atoms
 
 ROW_SUM_ATOL = 1e-9
@@ -43,8 +43,10 @@ class StoppingModel:
 
     def __post_init__(self):
         if self.kind == "fixed":
-            if self.T is None or self.T < 0:
-                raise ModelError("fixed stopping needs T >= 0")
+            T = self.T
+            if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 0:
+                raise ModelError(f"fixed stopping needs an integer T >= 0, got {T!r}")
+            object.__setattr__(self, "T", int(T))  # a numpy integer becomes a JSON one
         elif self.kind == "geometric":
             if self.gamma is None or not 0.0 < self.gamma < 1.0:
                 raise ModelError("geometric stopping needs 0 < gamma < 1")
@@ -53,7 +55,7 @@ class StoppingModel:
 
     @classmethod
     def fixed(cls, T: int) -> "StoppingModel":
-        return cls("fixed", T=int(T))
+        return cls("fixed", T=T)
 
     @classmethod
     def geometric(cls, gamma: float) -> "StoppingModel":
@@ -69,11 +71,13 @@ class LabeledPomdp:
     """The labeled POMDP tuple (S, A, P, varpi, O, Z, AP, L, r) plus stopping.
 
     Arrays: P is (S, A, S), Z is (S, O), varpi is (S,), rewards is (S, A),
-    labels is (S,) of letter bitmasks over the atom ordering.
+    labels is (S,) of letter bitmasks over the atom ordering.  A model checks
+    itself on construction (``validate``), its probability rows summing to 1
+    within ``atol``.
     """
 
     def __init__(self, name, states, actions, observations, P, Z, varpi,
-                 atoms, labels, rewards, stopping: StoppingModel):
+                 atoms, labels, rewards, stopping: StoppingModel, atol: float = ROW_SUM_ATOL):
         self.name = str(name)
         self.states = list(states)
         self.actions = list(actions)
@@ -90,6 +94,7 @@ class LabeledPomdp:
         self.stopping = stopping
         for arr in (self.P, self.Z, self.varpi, self.labels, self.rewards):
             arr.setflags(write=False)
+        self.validate(atol)
 
     @property
     def n_states(self) -> int:
@@ -561,17 +566,12 @@ def model_from_dict(doc: dict) -> LabeledPomdp:
     if needed not in stop_doc:
         raise ModelError(f"{kind} stopping needs field {needed!r}")
     if kind == "fixed":
-        T = stop_doc["T"]
-        if isinstance(T, bool) or not isinstance(T, int) or T < 0:
-            raise ModelError(f"fixed stopping needs an integer T >= 0, got {T!r}")
-        stopping = StoppingModel.fixed(T)
+        stopping = StoppingModel.fixed(stop_doc["T"])
     else:
         stopping = StoppingModel.geometric(_prob(stop_doc["gamma"], "stopping"))
 
-    model = LabeledPomdp(doc["name"], states, actions, observations, P, Z, varpi,
-                         atoms, labels, rewards, stopping)
-    model.validate(atol=LOAD_ATOL)
-    return model
+    return LabeledPomdp(doc["name"], states, actions, observations, P, Z, varpi,
+                        atoms, labels, rewards, stopping, atol=LOAD_ATOL)
 
 
 def model_to_dict(model: LabeledPomdp) -> dict:
@@ -605,15 +605,8 @@ def model_to_dict(model: LabeledPomdp) -> dict:
 
 
 def load_model(path) -> LabeledPomdp:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"model file {path} is not valid JSON: {exc}") from None
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path, ModelError, "model"))
 
 
 def save_model(model: LabeledPomdp, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))

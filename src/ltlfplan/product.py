@@ -12,11 +12,10 @@ plain POMDP trajectories with two reward channels: the base step reward and the
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .dfa import Dfa, compile_minimal_dfa, dfa_from_dict, dfa_to_dict
+from .files import read_json, write_json
 from .ltlf import parse_formula
 from .pomdp import (
     LOAD_ATOL, LabeledPomdp, ModelError, RolloutCache, Trajectory, _typed, model_from_dict,
@@ -58,14 +57,14 @@ class ProductPomdp(LabeledPomdp):
         super().__init__(name or f"{base.name}*{dfa.name}",
                          [f"{base.states[i]}|q{j}" for i, j in pairs.tolist()],
                          base.actions, base.observations, P, base.Z[s], varpi, base.atoms,
-                         labels, base.rewards[s], base.stopping)
+                         labels, base.rewards[s], base.stopping,
+                         atol=LOAD_ATOL)  # product rows are the base's rows
         self.base, self.dfa, self.pairs = base, dfa, pairs
         accepting = dfa.accepts_mask()
         self.r_final = accepting[q].astype(np.float64)
         self.accepts_at_stop = accepting[qnext]
         for arr in (self.pairs, self.r_final, self.accepts_at_stop):
             arr.setflags(write=False)
-        self.validate(atol=LOAD_ATOL)  # product rows are the base's rows
 
     def final_satisfied(self, traj: Trajectory) -> bool:
         """Whether a run on this product satisfies the spec."""
@@ -153,15 +152,8 @@ def product_from_dict(doc: dict) -> ProductPomdp:
 
 
 def save_product(prod: ProductPomdp, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(product_to_dict(prod), fh, indent=1)
-        fh.write("\n")
+    write_json(path, product_to_dict(prod))
 
 
 def load_product(path) -> ProductPomdp:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"product file {path} is not valid JSON: {exc}") from None
-    return product_from_dict(doc)
+    return product_from_dict(read_json(path, ModelError, "product"))

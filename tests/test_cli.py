@@ -36,6 +36,18 @@ def test_compile_reach_avoid(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
+def test_manifest_records_the_blas_thread_count(tmp_path, monkeypatch):
+    """Same-seed solves replay bit for bit only at the same BLAS thread count."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    out = tmp_path / "c"
+    assert run("compile", "--spec", "F a", "--out", str(out), "--quiet") == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                        "MKL_NUM_THREADS": "2"}
+
+
 def test_compile_trivial_spec(tmp_path):
     out = tmp_path / "c"
     assert run("compile", "--spec", "true", "--out", str(out), "--quiet") == 0
@@ -305,6 +317,15 @@ MALFORMED_POLICIES = {
                                     "alphas": _vectors(n + 1)},
     "time_indexed_on_geometric": lambda n: {"kind": "time_indexed", "n_states": n, "horizon": 1,
                                             "alphas": [_vectors(n), _vectors(n)]},
+    # JSON numbers of the wrong kind are refused, not coerced
+    "action_fraction": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9,
+                                  "alphas": [{"action": 0.7, "values": [0.0] * n}]},
+    "action_true": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9,
+                              "alphas": [{"action": True, "values": [0.0] * n}]},
+    "n_states_float": lambda n: {"kind": "stationary", "n_states": float(n), "gamma": 0.9,
+                                 "alphas": _vectors(n)},
+    "converged_int": lambda n: {"kind": "stationary", "n_states": n, "converged": 1,
+                                "gamma": 0.9, "alphas": _vectors(n)},
 }
 
 

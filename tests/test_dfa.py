@@ -305,6 +305,14 @@ def test_dfa_dict_validation():
     doc["n_states"] = 99
     with pytest.raises(LtlfError):
         dfa_from_dict(doc)
+    good = {"atoms": ["a"], "delta": [[0, 1], [1, 1]], "initial": 0, "accepting": [1]}
+    assert dfa_from_dict(good).delta.tolist() == good["delta"]
+    for field, value in [("delta", [[0.7, 1], [1, 1]]), ("delta", [["1", 1], [1, 1]]),
+                         ("delta", [[True, 1], [1, 1]]), ("delta", [0, 1]),
+                         ("initial", 0.9), ("initial", True), ("accepting", [1.5]),
+                         ("accepting", [True]), ("accepting", 1)]:
+        with pytest.raises(LtlfError, match="JSON integers"):
+            dfa_from_dict({**good, field: value})
 
 
 def test_dfa_dict_needs_one_annotation_per_state():

@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used in it, every
 import sits at module level, only ``product.py`` constructs a
-``ProductPomdp``, and only ``ltlf.py`` names the atom-name pattern.
+``ProductPomdp``, only ``ltlf.py`` names the atom-name pattern, and only
+``files.py`` writes or reads artifact files.
 
 ``__init__.py`` is exempt from the import check: its imports are the package's
 re-exports.
@@ -115,3 +116,28 @@ def test_only_ltlf_module_names_the_atom_pattern():
     named = [path.name for path in sorted(SRC.glob("*.py"))
              if path.name != "ltlf.py" and "_IDENT_RE" in path.read_text()]
     assert not named, f"_IDENT_RE named outside ltlf.py: {named}"
+
+
+FILE_FORMAT_CALLS = {("json", "dump"), ("json", "load"), ("csv", "DictWriter")}
+
+
+def file_format_calls(tree):
+    """Lines that call ``json.dump``, ``json.load`` or ``csv.DictWriter``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Name) \
+                and (node.func.value.id, node.func.attr) in FILE_FORMAT_CALLS:
+            yield node.lineno
+
+
+def test_only_files_module_writes_artifacts():
+    """The artifact format is files.write_json, read_json and write_csv."""
+    calls = {path.name: lines for path in sorted(SRC.glob("*.py")) if path.name != "files.py"
+             and (lines := list(file_format_calls(ast.parse(path.read_text()))))}
+    assert not calls, f"json.dump/json.load/csv.DictWriter called outside files.py: {calls}"
+
+
+def test_the_check_sees_a_file_format_call():
+    tree = ast.parse("import csv, json\njson.dump(doc, fh)\nprint(json.dumps(doc))\n"
+                     "w = csv.DictWriter(fh, fieldnames=c)\njson.loads(text)\njson.load(fh)\n")
+    assert list(file_format_calls(tree)) == [2, 4, 6]

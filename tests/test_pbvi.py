@@ -155,7 +155,7 @@ def solver_digest(case):
         stages = [(stage, None) for stage in policy]
     else:
         prod, preset = build_instance(case), PRESETS[case]
-        reward, _ = scalarize(prod, preset.B / 2, 1.0 - preset.threshold)
+        reward, _, _ = scalarize(prod, preset.B / 2, 1.0 - preset.threshold)
         policy = solve_discounted(prod, reward, prod.stopping.gamma,
                                   SolverConfig(expansion_seed=1, max_backup_rounds=60))
         stages = [(policy, policy.stats["rounds"])]
@@ -304,7 +304,7 @@ def test_point_backup_matches_dense_on_pruned_m7():
     preset = PRESETS["M7"]
     gamma = prod.stopping.gamma
     for lam in (preset.B / 2, 0.0):
-        reward, _ = scalarize(prod, lam, 1.0 - preset.threshold)
+        reward, _, _ = scalarize(prod, lam, 1.0 - preset.threshold)
         policy = solve_discounted(prod, reward, gamma, SolverConfig(
             n_beliefs=100, max_backup_rounds=60, expansion_seed=1))
         assert policy.alphas.shape[0] > 10
@@ -436,7 +436,7 @@ def test_mdp_upper_bound(case):
         B, threshold = preset.B, preset.threshold
         cfg = SolverConfig(n_beliefs=50, max_backup_rounds=100, expansion_seed=1)
     for lam in (0.0, B / 2):
-        reward, _ = scalarize(prod, lam, 1.0 - threshold)
+        reward, _, _ = scalarize(prod, lam, 1.0 - threshold)
         bound = mdp_upper_bound(prod, reward)
         lower = start_value(solve_discounted(prod, reward, prod.stopping.gamma, cfg), prod)
         assert bound >= lower
@@ -569,3 +569,12 @@ def test_policy_file_format_is_pinned(policy, want, tmp_path):
     save_policy(policy, tmp_path / "policy.json")
     assert (tmp_path / "policy.json").read_text() == want + "\n"
     assert json.dumps(policy_to_dict(load_policy(tmp_path / "policy.json"))) == want
+
+
+@pytest.mark.parametrize("field, value", [("horizon", 1.0), ("n_states", 2.0),
+                                          ("converged", 1), ("converged", "true")])
+def test_policy_file_numbers_are_not_coerced(field, value):
+    doc = json.loads(TIME_INDEXED_DOC)
+    doc[field] = value
+    with pytest.raises(ValueError, match=field):
+        policy_from_dict(doc)

@@ -10,7 +10,7 @@ from ltlfplan.ltlf import parse_formula
 from ltlfplan.pbvi import AlphaPolicy, SolverConfig, solve_discounted, start_value
 from ltlfplan.planner import (
     ConstrainedProblem, MixedPolicy, auto_eta, eg_solve, eg_update_lambda, mc_evaluate,
-    reduce_support_bfs, regret_bound, scalarize, theorem2_report,
+    reduce_support_bfs, regret_bound, result_to_dict, scalarize,
 )
 from ltlfplan.pomdp import FixedActionPolicy, StoppingModel, derive_seed
 from ltlfplan.product import build_product
@@ -36,7 +36,7 @@ def twostate_product():
 def test_scalarize_bonus_coefficient():
     model, spec = twostate_constrained(0.99)
     prod = product_for(model, spec)
-    reward, _ = scalarize(prod, 5.0, 0.25)
+    reward, _, _ = scalarize(prod, 5.0, 0.25)
     bonus = reward - prod.rewards
     coef = 5.0 * 0.01 / 0.99
     assert np.allclose(bonus, coef * prod.r_final[:, None])
@@ -46,8 +46,9 @@ def test_scalarize_bonus_coefficient():
 def test_scalarize_zero_multiplier_trivial_offset():
     model, spec = twostate_constrained(0.9)
     prod = product_for(model, spec)
-    reward, offset = scalarize(prod, 0.0, 1.0)
+    reward, terminal, offset = scalarize(prod, 0.0, 1.0)
     assert np.array_equal(reward, prod.rewards)
+    assert terminal is None  # geometric stopping has no terminal channel
     assert offset == 0.0
 
 
@@ -66,7 +67,7 @@ def test_scalarize_identity_on_accepting_sink():
     model, spec = accepting_sink_instance(gamma=0.5)
     prod = product_for(model, spec)
     lam = 1.0
-    reward, offset = scalarize(prod, lam, 0.0)
+    reward, _, offset = scalarize(prod, lam, 0.0)
     # exact policy evaluation of the only policy (single action)
     X = prod.n_states
     actions = np.zeros(X, dtype=np.int64)
@@ -243,7 +244,6 @@ def test_bfs_beats_uniform_when_uniform_feasible():
 
 def test_auto_eta_and_bound_values():
     assert auto_eta(100, 5.0) == pytest.approx(0.0117741, abs=1e-6)
-    assert theorem2_report.__name__  # imported
     assert regret_bound(100, 5.0) == pytest.approx(1.17741, abs=1e-5)
     assert regret_bound(400, 5.0) == pytest.approx(regret_bound(100, 5.0) / 2)
 
@@ -317,12 +317,15 @@ def test_theorem2_report_contents(twostate_product):
     problem = ConstrainedProblem(twostate_product, threshold=0.6, B=4.0, K=5,
                                  eta=1.0, simu=50, base_seed=2)
     result = eg_solve(problem, SolverConfig(n_beliefs=8, max_backup_rounds=150))
-    report = theorem2_report(result)
+    report = result_to_dict(result)
+    assert list(report) == ["bound", "B", "K", "eta", "lam_bar", "r_hat_mixture",
+                            "p_hat_mixture", "threshold", "r_m_upper_bound", "eps_f_surrogate",
+                            "trace", "slack", "bfs_weights", "mixture_weights"]
     assert report["bound"] == pytest.approx(regret_bound(5, 4.0))
     assert len(report["trace"]) == 5
     assert {"k", "lambda", "r_hat", "p_hat", "converged", "gap"} <= set(report["trace"][0])
     assert all(rec.gap >= 0.0 for rec in result.records)
-    reward, _ = scalarize(twostate_product, 0.0, problem.delta)
+    reward, _, _ = scalarize(twostate_product, 0.0, problem.delta)
     unconstrained = solve_discounted(twostate_product, reward, 0.9,
                                      SolverConfig(n_beliefs=8, max_backup_rounds=150))
     assert report["r_m_upper_bound"] >= start_value(unconstrained, twostate_product)
@@ -356,7 +359,7 @@ def test_records_carry_the_iteration_standard_errors(twostate_product):
     problem = ConstrainedProblem(twostate_product, threshold=0.6, B=4.0, K=3,
                                  eta=1.0, simu=40, base_seed=5)
     result = eg_solve(problem, SolverConfig(n_beliefs=8, max_backup_rounds=150))
-    report = theorem2_report(result)
+    report = result_to_dict(result)
     for rec, policy, entry in zip(result.records, result.mixture.policies, report["trace"]):
         est = mc_evaluate(policy, twostate_product, problem.simu,
                           derive_seed(problem.base_seed, rec.k))

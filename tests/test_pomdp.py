@@ -38,6 +38,19 @@ def two_state_doc(**overrides):
 # Stopping models
 # --------------------------------------------------------------------------
 
+@pytest.mark.parametrize("T", [2.5, True, "3", None])
+def test_fixed_horizon_must_be_an_integer(T):
+    with pytest.raises(ModelError, match=f"integer T >= 0, got {T!r}"):
+        StoppingModel("fixed", T=T)
+    with pytest.raises(ModelError, match=f"integer T >= 0, got {T!r}"):
+        StoppingModel.fixed(T)
+
+
+def test_fixed_horizon_takes_numpy_integers():
+    assert type(StoppingModel.fixed(np.int64(3)).T) is int
+    assert StoppingModel.fixed(np.int64(3)) == StoppingModel.fixed(3)
+
+
 def test_stopping_model_validation():
     assert StoppingModel.fixed(0).expected_horizon() == 0
     assert StoppingModel.geometric(0.9).expected_horizon() == pytest.approx(9.0)
@@ -96,11 +109,10 @@ def test_validate_rejects_non_finite_entries(table, value):
     base = uninformative_two_state()
     arrays = {name: getattr(base, name).copy() for name in ("P", "Z", "varpi", "rewards")}
     arrays[table].flat[0] = value
-    model = LabeledPomdp("bad", base.states, base.actions, base.observations, arrays["P"],
-                         arrays["Z"], arrays["varpi"], base.atoms, base.labels,
-                         arrays["rewards"], base.stopping)
     with pytest.raises(ModelError, match="non-finite entry"):
-        model.validate()
+        LabeledPomdp("bad", base.states, base.actions, base.observations, arrays["P"],
+                     arrays["Z"], arrays["varpi"], base.atoms, base.labels,
+                     arrays["rewards"], base.stopping)
 
 
 def test_load_accepts_decimal_strings():

@@ -8,7 +8,7 @@ from ltlfplan.benchmarks import (
     PRESETS, build_instance, make_model, make_spec, random_tiny_model,
 )
 from ltlfplan.dfa import compile_minimal_dfa
-from ltlfplan.ltlf import TRUE, Word, evaluate_trace, parse_formula
+from ltlfplan.ltlf import TRUE, LtlfError, Word, evaluate_trace, parse_formula
 from ltlfplan.pomdp import (
     LabeledPomdp, ModelError, RandomPolicy, StoppingModel, derive_seed, model_to_dict,
     sample_trajectory,
@@ -275,6 +275,13 @@ def test_product_dict_requires_provenance(m1_product):
     doc = product_to_dict(prod)
     del doc["provenance"]
     with pytest.raises(ModelError):
+        product_from_dict(doc)
+
+
+def test_provenance_dfa_entries_are_not_coerced():
+    doc = product_to_dict(twostate_full())
+    doc["provenance"]["dfa_doc"]["initial"] = 0.0
+    with pytest.raises(LtlfError, match="JSON integers"):
         product_from_dict(doc)
 
 

@@ -41,7 +41,7 @@ def tie_policy(prod):
 
 
 def stationary_policy(prod, lam):
-    reward, _ = scalarize(prod, lam, 0.2)
+    reward, _, _ = scalarize(prod, lam, 0.2)
     return solve_discounted(prod, reward, prod.stopping.gamma, CFG)
 
 
