@@ -421,8 +421,12 @@ def dfa_from_dict(doc: dict) -> Dfa:
             and all(type(q) is int for q in [initial, *accepting, *chain(*delta)])):
         raise LtlfError("DFA initial, accepting and delta entries must be JSON integers")
     dfa = Dfa(atoms, delta, initial, accepting, doc.get("annotations"), name=doc.get("name", ""))
-    if dfa.n_states != doc.get("n_states", dfa.n_states):
-        raise LtlfError("n_states does not match delta table")
+    if "n_states" in doc:
+        n_states = doc["n_states"]
+        if type(n_states) is not int:
+            raise LtlfError(f"DFA n_states must be a JSON integer, got {n_states!r}")
+        if n_states != dfa.n_states:
+            raise LtlfError("n_states does not match delta table")
     return dfa
 
 

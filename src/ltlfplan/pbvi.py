@@ -431,6 +431,14 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _gamma(value):
+    """A policy file's gamma: null, or a JSON number (not a bool) in (0, 1);
+    else ValueError."""
+    if value is not None and (type(value) not in (int, float) or not 0.0 < value < 1.0):
+        raise ValueError(f"gamma must be null or a number in (0, 1), got {value!r}")
+    return value
+
+
 def _vectors_from_list(vectors: list, **kwargs) -> AlphaPolicy:
     return AlphaPolicy(np.array([v["values"] for v in vectors], dtype=np.float64),
                        [_integer(v["action"], "an alpha vector's action") for v in vectors],
@@ -456,7 +464,8 @@ def policy_from_dict(doc: dict):
         raise ValueError(f"converged must be true or false, got {converged!r}")
     n_states = _integer(doc["n_states"], "n_states")
     if kind == "stationary":
-        policy = _vectors_from_list(doc["alphas"], gamma=doc.get("gamma"), converged=converged)
+        policy = _vectors_from_list(doc["alphas"], gamma=_gamma(doc.get("gamma")),
+                                    converged=converged)
     elif kind == "time_indexed":
         policy = TimeIndexedPolicy([_vectors_from_list(stage) for stage in doc["alphas"]],
                                    converged=converged)

@@ -35,7 +35,7 @@ from .files import write_csv, write_json
 from .pbvi import (
     SolverConfig, mdp_upper_bound, solve_discounted, solve_finite_horizon, start_value,
 )
-from .pomdp import RolloutCache, Trajectory, _categorical, derive_seed
+from .pomdp import RolloutCache, Trajectory, _inverse_cdfs, _pick, derive_seed
 from .product import ProductPomdp
 
 
@@ -79,17 +79,20 @@ class ConstrainedProblem:
 
 
 class MixedPolicy:
-    """Finite-support distribution over alpha policies, sampled once per run."""
+    """Finite-support distribution over alpha policies, sampled once per run
+    by the ``_pick`` rule on ``selection``, the read-only weights' inverse CDF."""
 
     def __init__(self, policies, weights):
         self.policies = list(policies)
-        self.weights = np.asarray(weights, dtype=np.float64)
+        self.weights = np.array(weights, dtype=np.float64)
         if self.weights.shape != (len(self.policies),):
             raise ValueError("one weight per policy required")
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {self.weights.sum()!r}, expected 1")
+        self.weights.setflags(write=False)
+        self.selection = _inverse_cdfs(self.weights[None, :])[0]
 
 
 @dataclass
@@ -196,15 +199,17 @@ _SELECT_STREAM = 0x5E1EC7
 def rollout(policy, prod: ProductPomdp, seed: int, i: int,
             cache: RolloutCache | None = None) -> Trajectory:
     """Rollout i of ``mc_evaluate(policy, prod, n, seed)``.  A MixedPolicy
-    first draws its pure policy from the selection stream (seed, i); the run
-    then draws from the stream derive_seed(seed, i).  Both streams come from
-    the generator of ``cache``, a fresh one when None."""
+    first draws its pure policy, with the first uniform of the stream
+    derive_seed(seed, i, _SELECT_STREAM), from its ``selection`` table; the
+    run then draws from the stream derive_seed(seed, i).  Both seeds come
+    from ``cache.stream_seed`` and both streams from the generator of
+    ``cache``, a fresh cache when None."""
     if cache is None:
         cache = RolloutCache()
     if isinstance(policy, MixedPolicy):
-        select_rng = cache.rng(derive_seed(seed, i, _SELECT_STREAM))
-        policy = policy.policies[_categorical(select_rng, policy.weights)]
-    return prod.simulate(policy, derive_seed(seed, i), cache)
+        u = cache.rng(cache.stream_seed(seed, i, _SELECT_STREAM)).random()
+        policy = policy.policies[_pick(policy.selection, u)]
+    return prod.simulate(policy, cache.stream_seed(seed, i), cache)
 
 
 def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
@@ -214,17 +219,22 @@ def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
     estimates do not depend on execution order.  For a MixedPolicy the pure
     policy is sampled first, from a stream separate from the trajectory's, so
     a degenerate mixture reproduces its support policy's rollouts exactly.
-    All n rollouts share one RolloutCache, which changes no estimate.
+    All n rollouts share one RolloutCache, which hashes the blake2b prefix
+    "(seed, " of all their stream seeds once and reuses beliefs, actions and
+    the generator; a mixture's selection table is built with the mixture.
+    None of this changes an estimate.  A run's total is numpy's pairwise
+    ``rewards.sum()``, whose rounding the estimates keep.
     """
     if n < 1:
         raise ValueError("need at least one rollout")
     totals = np.empty(n)
     finals = np.empty(n)
     cache = RolloutCache()
+    accepts = prod.accepts_at_stop.tolist()
     for i in range(n):
         traj = rollout(policy, prod, seed, i, cache)
         totals[i] = traj.rewards.sum()
-        finals[i] = prod.accepts_at_stop[traj.states[-1]]
+        finals[i] = accepts[traj.states[-1]]
     r_se = float(totals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     p_se = float(finals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return EvalResult(float(totals.mean()), float(finals.mean()), r_se, p_se, n)

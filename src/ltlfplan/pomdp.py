@@ -309,13 +309,7 @@ class SamplingTables:
         self.rewards = model.rewards.tolist()
 
 
-_CHUNK = 64
-
-
-def _uniforms(rng: np.random.Generator):
-    """The stream of rng.random() values, drawn in chunks (same doubles)."""
-    while True:
-        yield from rng.random(_CHUNK).tolist()
+_CHUNK = 64  # uniforms a run draws from its generator at a time
 
 
 CACHE_FLOATS = 1 << 17  # belief floats (1 MiB) above which a rollout clears its cache
@@ -329,7 +323,8 @@ class RolloutCache:
     lookup.  Each interned belief remembers the action every policy of
     ``kind == "stationary"`` took there; time-indexed and belief-free policies
     are always asked.  One Philox generator is re-keyed per rollout instead of
-    built.  Each cached value is the one the computation it replaces returns,
+    built, and ``stream_seed`` hashes the prefix that one seed's stream seeds
+    share once.  Each cached value is the one the computation it replaces returns,
     bit for bit, so sharing a cache changes no output.  A rollout that starts
     on another model, or while the cache holds more than ``CACHE_FLOATS``
     belief floats, clears it first.
@@ -337,8 +332,12 @@ class RolloutCache:
 
     def __init__(self):
         self._rng = make_rng(0)
-        self._state = self._rng.bit_generator.state  # a fresh Philox's state, key 0
+        # a fresh Philox's state, key 0, its arrays as the lists the setter reads faster
+        state = self._rng.bit_generator.state
+        self._state = {**state, "buffer": state["buffer"].tolist(),
+                       "state": {name: words.tolist() for name, words in state["state"].items()}}
         self._key = self._state["state"]["key"]
+        self._seed = self._prefix = None
         self.model = None
         self._ids: dict[bytes, int] = {}
         self._start: dict[int, int] = {}                  # o0 -> id
@@ -366,6 +365,17 @@ class RolloutCache:
         self._key[0], self._key[1] = key & _WORD_MASK, key >> 64
         self._rng.bit_generator.state = self._state
         return self._rng
+
+    def stream_seed(self, seed: int, *rest: int) -> int:
+        """``derive_seed(seed, *rest)`` for a non-empty ``rest``.  The blake2b
+        state after the prefix "(seed, " of the hashed tuple text is kept from
+        the last call with the same seed and copied."""
+        if seed != self._seed:
+            self._seed = seed
+            self._prefix = hashlib.blake2b(f"({int(seed)}, ".encode(), digest_size=16)
+        digest = self._prefix.copy()
+        digest.update(f"{', '.join(map(str, map(int, rest)))})".encode())
+        return int.from_bytes(digest.digest(), "little")
 
     def begin(self, model) -> None:
         """Start a rollout on ``model``."""
@@ -405,16 +415,19 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
     only), action, then the transition and observation draws.  The run always
     includes (s_T, a_T); under geometric stopping T is the first t whose
     Bernoulli(1-gamma) flag fires, so a run may consist of a single step.
-    All draws are uniforms of the run's own Philox stream, read in chunks,
-    which yields the same doubles as one rng.random() call per draw.
-    Beliefs, stationary actions and the generator come from ``cache``, a
-    fresh one when None; the run is the same with any cache.
+    Every draw is one uniform of the run's own Philox stream, read by index
+    from chunks of ``_CHUNK`` doubles (the same doubles as one rng.random()
+    call per draw), and picks by the ``_pick`` rule on the model's
+    ``sampling`` tables.  Beliefs, stationary actions and the generator come
+    from ``cache``, a fresh one when None; the run is the same with any cache.
     """
     if cache is None:
         cache = RolloutCache()
     cache.begin(model)
     tables = model.sampling
-    draw = _uniforms(cache.rng(seed)).__next__
+    random = cache.rng(seed).random
+    u = random(_CHUNK).tolist()
+    last = _CHUNK - 3  # the last index at which a step finds its (at most) 3 uniforms
     observe, transition, step_reward = tables.observe, tables.transition, tables.rewards
     stopping = model.stopping
     geometric = stopping.kind == "geometric"
@@ -425,14 +438,24 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
     successors, known = cache.successors, cache.actions
     n_obs = model.n_observations
 
-    s = _pick(tables.initial, draw())
-    o = _pick(observe[s], draw())
+    total, cum, picks = tables.initial
+    s = picks[bisect_right(cum, u[0] * total)]
+    total, cum, picks = observe[s]
+    o = picks[bisect_right(cum, u[1] * total)]
+    k = 2  # index of the next unread uniform
     b = cache.start(o) if track_belief else None  # the belief's id
 
     states, actions, observations, rewards = [], [], [], []
     t = 0
     while True:
-        stop = draw() < stop_prob if geometric else t == stopping.T
+        if k > last:
+            u = u[k:] + random(_CHUNK).tolist()
+            k, last = 0, len(u) - 3
+        if geometric:
+            stop = u[k] < stop_prob
+            k += 1
+        else:
+            stop = t == stopping.T
         if memo:
             a = known[b].get(policy)
             if a is None:
@@ -445,18 +468,17 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
         rewards.append(step_reward[s][a])
         if stop:
             break
-        s = _pick(transition[s][a], draw())
-        o = _pick(observe[s], draw())
+        total, cum, picks = transition[s][a]
+        s = picks[bisect_right(cum, u[k] * total)]
+        total, cum, picks = observe[s]
+        o = picks[bisect_right(cum, u[k + 1] * total)]
+        k += 2
         if track_belief:
             nxt = successors[b].get(a * n_obs + o)
             b = cache.add_successor(b, a, o) if nxt is None else nxt
         t += 1
-    return Trajectory(
-        states=np.array(states, dtype=np.int64),
-        actions=np.array(actions, dtype=np.int64),
-        observations=np.array(observations, dtype=np.int64),
-        rewards=np.array(rewards, dtype=np.float64),
-    )
+    sao = np.array((states, actions, observations), dtype=np.int64)
+    return Trajectory(sao[0], sao[1], sao[2], np.array(rewards, dtype=np.float64))
 
 
 # --------------------------------------------------------------------------

@@ -326,6 +326,12 @@ MALFORMED_POLICIES = {
                                  "alphas": _vectors(n)},
     "converged_int": lambda n: {"kind": "stationary", "n_states": n, "converged": 1,
                                 "gamma": 0.9, "alphas": _vectors(n)},
+    "gamma_string": lambda n: {"kind": "stationary", "n_states": n, "gamma": "0.9",
+                               "alphas": _vectors(n)},
+    "gamma_int": lambda n: {"kind": "stationary", "n_states": n, "gamma": 7,
+                            "alphas": _vectors(n)},
+    "gamma_true": lambda n: {"kind": "stationary", "n_states": n, "gamma": True,
+                             "alphas": _vectors(n)},
 }
 
 

@@ -313,6 +313,10 @@ def test_dfa_dict_validation():
                          ("accepting", [True]), ("accepting", 1)]:
         with pytest.raises(LtlfError, match="JSON integers"):
             dfa_from_dict({**good, field: value})
+    assert dfa_from_dict({**good, "n_states": 2}).n_states == 2
+    for value in (2.0, "2", True, None):
+        with pytest.raises(LtlfError, match="n_states must be a JSON integer"):
+            dfa_from_dict({**good, "n_states": value})
 
 
 def test_dfa_dict_needs_one_annotation_per_state():

@@ -1,7 +1,8 @@
 """Source hygiene: every name a library module imports is used in it, every
 import sits at module level, only ``product.py`` constructs a
-``ProductPomdp``, only ``ltlf.py`` names the atom-name pattern, and only
-``files.py`` writes or reads artifact files.
+``ProductPomdp``, only ``ltlf.py`` names the atom-name pattern, only
+``files.py`` writes or reads artifact files, and only ``pomdp.py`` imports
+``hashlib``, the seed hash.
 
 ``__init__.py`` is exempt from the import check: its imports are the package's
 re-exports.
@@ -141,3 +142,26 @@ def test_the_check_sees_a_file_format_call():
     tree = ast.parse("import csv, json\njson.dump(doc, fh)\nprint(json.dumps(doc))\n"
                      "w = csv.DictWriter(fh, fieldnames=c)\njson.loads(text)\njson.load(fh)\n")
     assert list(file_format_calls(tree)) == [2, 4, 6]
+
+
+
+def imported_modules(tree):
+    """Top-level package of each import, relative ``from . import`` excluded."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_only_pomdp_module_imports_hashlib():
+    """Seeds are hashed in one module: pomdp.derive_seed and RolloutCache.stream_seed."""
+    importers = [path.name for path in sorted(SRC.glob("*.py")) if path.name != "pomdp.py"
+                 and "hashlib" in imported_modules(ast.parse(path.read_text()))]
+    assert not importers, f"hashlib imported outside pomdp.py: {importers}"
+
+
+def test_the_check_sees_a_hashlib_import():
+    tree = ast.parse("import hashlib as h\nfrom hashlib import blake2b\nimport os.path\n"
+                     "from .pomdp import derive_seed\n")
+    assert list(imported_modules(tree)) == ["hashlib", "hashlib", "os"]

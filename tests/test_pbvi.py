@@ -578,3 +578,14 @@ def test_policy_file_numbers_are_not_coerced(field, value):
     doc[field] = value
     with pytest.raises(ValueError, match=field):
         policy_from_dict(doc)
+
+
+@pytest.mark.parametrize("gamma", ["0.9", 7, True, 1.0, 0, -0.5, float("nan")])
+def test_policy_file_gamma_is_checked(gamma):
+    doc = json.loads(STATIONARY_DOC)
+    doc["gamma"] = gamma
+    with pytest.raises(ValueError, match="gamma"):
+        policy_from_dict(doc)
+    for good in (None, 0.5):
+        doc["gamma"] = good
+        assert policy_from_dict(doc).gamma == good

@@ -1,19 +1,29 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ltlfplan import pbvi, planner
-from ltlfplan.benchmarks import accepting_sink_instance, chain3, twostate_constrained
+from ltlfplan.benchmarks import (
+    accepting_sink_instance, build_instance, chain3, random_tiny_model, twostate_constrained,
+)
 from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import parse_formula
-from ltlfplan.pbvi import AlphaPolicy, SolverConfig, solve_discounted, start_value
+from ltlfplan.pbvi import (
+    AlphaPolicy, SolverConfig, solve_discounted, solve_finite_horizon, start_value,
+)
 from ltlfplan.planner import (
     ConstrainedProblem, MixedPolicy, auto_eta, eg_solve, eg_update_lambda, mc_evaluate,
     reduce_support_bfs, regret_bound, result_to_dict, scalarize,
 )
 from ltlfplan.pomdp import FixedActionPolicy, StoppingModel, derive_seed
-from ltlfplan.product import build_product
+from ltlfplan.product import build_product, constrained_product
 
 from helpers import deterministic_chain, eval_stationary_product_policy
 
@@ -184,6 +194,69 @@ def test_mixed_policy_validation():
         MixedPolicy([p], [0.5])
     with pytest.raises(ValueError):
         MixedPolicy([p, p], [1.5, -0.5])
+    # the selection table is built once, from the mixture's own read-only weights
+    weights = np.array([0.25, 0.75])
+    mixture = MixedPolicy([p, p], weights)
+    weights[0] = 1.0
+    assert mixture.weights.tolist() == [0.25, 0.75] and not mixture.weights.flags.writeable
+    assert mixture.selection == (1.0, [0.25, 1.0], [0, 1, 1])
+
+
+# sha256 of " ".join(float.hex) of mc_evaluate's (r_hat, p_hat, r_se, p_se):
+# any change to a selection draw, a run, the verdict or the order the
+# estimates are summed in changes a digest.  Policies are solved cold; as for
+# the solver digests, BLAS runs on one thread.
+EVAL_DIGESTS = {
+    "twostate_alpha": "48668400c6ad0a955c092b15231c0d9945fb7f6040e69c0638f24aeb765270a5",
+    "twostate_mixture": "358c220fe769c4fd15897e20e07af232650d5f55e0d396ddce3c219630bcb346",
+    "m7": "4ad5656215d6172b603faeb28a10e6109a164a4add366cf9fd07d4f4fe7bc93d",
+    "fixed": "9bd84de1e21f7a3bd6f323bf00891acf676887780a0580229bf4743646738aa4",
+}
+
+
+def eval_digest(case):
+    if case.startswith("twostate"):
+        prod = constrained_product(*twostate_constrained(0.9))
+        cfg = SolverConfig(n_beliefs=12, max_backup_rounds=200, expansion_seed=1)
+        solved = [solve_discounted(prod, scalarize(prod, lam, 0.25)[0], 0.9, cfg)
+                  for lam in (0.5, 2.0, 8.0)]
+        if case == "twostate_alpha":
+            policy, n, seed = solved[1], 3000, 61
+        else:
+            policy, n, seed = MixedPolicy(solved, [0.55, 0.0, 0.45]), 3000, 62
+    elif case == "m7":
+        prod = build_instance("M7")
+        cfg = SolverConfig(n_beliefs=20, max_backup_rounds=30, expansion_seed=1)
+        policy = solve_discounted(prod, scalarize(prod, 12.5, 0.2)[0], prod.stopping.gamma, cfg)
+        n, seed = 400, 63
+    else:
+        prod = constrained_product(random_tiny_model(7, n_states=3, n_actions=2, n_obs=3,
+                                                     horizon=12, n_atoms=2), "F G a")
+        reward, terminal, _ = scalarize(prod, 2.0, 0.2)
+        policy = solve_finite_horizon(prod, reward, 12, SolverConfig(n_beliefs=3), terminal=terminal)
+        assert policy.kind == "time_indexed"
+        n, seed = 500, 64
+    est = mc_evaluate(policy, prod, n, seed)
+    values = (est.r_hat, est.p_hat, est.r_se, est.p_se)
+    return hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def eval_digests():
+    """Every case's digest, from one child process with BLAS on one thread."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+               **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    code = ("import json, test_planner; "
+            f"print(json.dumps({{c: test_planner.eval_digest(c) for c in {sorted(EVAL_DIGESTS)!r}}}))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_DIGESTS))
+def test_evaluations_are_the_recorded_bits(case, eval_digests):
+    assert eval_digests[case] == EVAL_DIGESTS[case]
 
 
 # --------------------------------------------------------------------------

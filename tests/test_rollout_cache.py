@@ -17,7 +17,7 @@ from ltlfplan.benchmarks import make_model, make_spec, twostate_constrained
 from ltlfplan.pbvi import AlphaPolicy, SolverConfig, solve_discounted, solve_finite_horizon
 from ltlfplan.planner import MixedPolicy, mc_evaluate, scalarize
 from ltlfplan.pomdp import (
-    LabeledPomdp, RandomPolicy, RolloutCache, StoppingModel, _uniforms, derive_seed, make_rng,
+    _CHUNK, LabeledPomdp, RandomPolicy, RolloutCache, StoppingModel, derive_seed, make_rng,
     sample_trajectory,
 )
 from ltlfplan.product import constrained_product
@@ -66,22 +66,36 @@ def test_derive_seed_is_pinned():
         assert derive_seed(*parts) == seed, parts
 
 
+def test_stream_seed_is_derive_seed():
+    """The cache's hoisted prefix hash gives the pinned seeds, whatever seed
+    the previous call hashed."""
+    cache = RolloutCache()
+    for parts, seed in DERIVED.items():
+        if len(parts) > 1:
+            assert cache.stream_seed(*parts) == seed, parts
+            assert cache.stream_seed(*parts) == seed, parts  # the kept prefix
+    for first in (-(2**70), -1, 0, 3, 2**64 + 5, 2**128 - 1):
+        for rest in ((0,), (9,), (2**64,), (-4,), (11, 0x5E1EC7)):
+            assert cache.stream_seed(first, *rest) == derive_seed(first, *rest), (first, rest)
+
+
 @pytest.mark.parametrize("parts", sorted(STREAMS))
 def test_rekeyed_generator_gives_the_pinned_stream(parts):
     key = stream_key(parts)
     assert digest(make_rng(key).random(130)) == STREAMS[parts]
     cache = RolloutCache()
     assert digest(cache.rng(key).random(130)) == STREAMS[parts]
-    # the previous rollout left half of a 64-double chunk unread and a
-    # buffered uint32 from integers()
+    # the previous rollout stopped inside a Philox block and left a buffered
+    # uint32 from integers()
     rng = cache.rng(derive_seed(7, 7))
-    draw = _uniforms(rng).__next__
-    for _ in range(30):
-        draw()
+    rng.random(30)
     rng.integers(5)
-    assert rng.bit_generator.state["has_uint32"] == 1
-    draw = _uniforms(cache.rng(key)).__next__
-    assert digest([draw() for _ in range(130)]) == STREAMS[parts]
+    state = rng.bit_generator.state
+    assert state["buffer_pos"] % 4 and state["has_uint32"] == 1
+    # the simulator reads the stream in chunks of _CHUNK doubles
+    rng = cache.rng(key)
+    chunks = [rng.random(_CHUNK) for _ in range(-(-130 // _CHUNK))]
+    assert digest(np.concatenate(chunks)[:130]) == STREAMS[parts]
 
 
 # --------------------------------------------------------------------------
