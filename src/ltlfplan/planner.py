@@ -201,15 +201,14 @@ def rollout(policy, prod: ProductPomdp, seed: int, i: int,
     """Rollout i of ``mc_evaluate(policy, prod, n, seed)``.  A MixedPolicy
     first draws its pure policy, with the first uniform of the stream
     derive_seed(seed, i, _SELECT_STREAM), from its ``selection`` table; the
-    run then draws from the stream derive_seed(seed, i).  Both seeds come
-    from ``cache.stream_seed`` and both streams from the generator of
-    ``cache``, a fresh cache when None."""
+    run then draws from the stream derive_seed(seed, i).  Both streams come
+    from the generator of ``cache``, a fresh cache when None."""
     if cache is None:
         cache = RolloutCache()
     if isinstance(policy, MixedPolicy):
-        u = cache.rng(cache.stream_seed(seed, i, _SELECT_STREAM)).random()
+        u = cache.rng(derive_seed(seed, i, _SELECT_STREAM)).random()
         policy = policy.policies[_pick(policy.selection, u)]
-    return prod.simulate(policy, cache.stream_seed(seed, i), cache)
+    return prod.simulate(policy, derive_seed(seed, i), cache)
 
 
 def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
@@ -219,11 +218,11 @@ def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
     estimates do not depend on execution order.  For a MixedPolicy the pure
     policy is sampled first, from a stream separate from the trajectory's, so
     a degenerate mixture reproduces its support policy's rollouts exactly.
-    All n rollouts share one RolloutCache, which hashes the blake2b prefix
-    "(seed, " of all their stream seeds once and reuses beliefs, actions and
-    the generator; a mixture's selection table is built with the mixture.
-    None of this changes an estimate.  A run's total is numpy's pairwise
-    ``rewards.sum()``, whose rounding the estimates keep.
+    All n rollouts share one RolloutCache, which reuses beliefs, actions and
+    the generator; ``derive_seed`` hashes the prefix "(seed, " of their
+    stream seeds once, and a mixture's selection table is built with the
+    mixture.  None of this changes an estimate.  A run's total is numpy's
+    pairwise ``rewards.sum()``, whose rounding the estimates keep.
     """
     if n < 1:
         raise ValueError("need at least one rollout")

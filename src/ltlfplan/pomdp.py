@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -255,9 +255,24 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
 
 
+@lru_cache(maxsize=16)
+def _seed_prefix(first: int):
+    """The blake2b state after "(first, ", the text that begins the repr of
+    every tuple of two or more integers whose first is ``first``.  Callers
+    update copies only."""
+    return hashlib.blake2b(f"({first}, ".encode(), digest_size=16)
+
+
 def derive_seed(*parts: int) -> int:
-    """Stable 128-bit seed from a tuple of integers (order-sensitive)."""
-    digest = hashlib.blake2b(repr(tuple(map(int, parts))).encode(), digest_size=16)
+    """Stable 128-bit seed from a tuple of integers (order-sensitive): the
+    blake2b digest of the tuple's repr.  With two or more parts the hash
+    continues a copy of the memoized ``_seed_prefix``, which gives the same
+    digest and hashes one evaluation seed's common prefix once."""
+    if len(parts) < 2:
+        digest = hashlib.blake2b(repr(tuple(map(int, parts))).encode(), digest_size=16)
+    else:
+        digest = _seed_prefix(int(parts[0])).copy()
+        digest.update(f"{', '.join(map(str, map(int, parts[1:])))})".encode())
     return int.from_bytes(digest.digest(), "little")
 
 
@@ -323,8 +338,7 @@ class RolloutCache:
     lookup.  Each interned belief remembers the action every policy of
     ``kind == "stationary"`` took there; time-indexed and belief-free policies
     are always asked.  One Philox generator is re-keyed per rollout instead of
-    built, and ``stream_seed`` hashes the prefix that one seed's stream seeds
-    share once.  Each cached value is the one the computation it replaces returns,
+    built.  Each cached value is the one the computation it replaces returns,
     bit for bit, so sharing a cache changes no output.  A rollout that starts
     on another model, or while the cache holds more than ``CACHE_FLOATS``
     belief floats, clears it first.
@@ -337,7 +351,6 @@ class RolloutCache:
         self._state = {**state, "buffer": state["buffer"].tolist(),
                        "state": {name: words.tolist() for name, words in state["state"].items()}}
         self._key = self._state["state"]["key"]
-        self._seed = self._prefix = None
         self.model = None
         self._ids: dict[bytes, int] = {}
         self._start: dict[int, int] = {}                  # o0 -> id
@@ -365,17 +378,6 @@ class RolloutCache:
         self._key[0], self._key[1] = key & _WORD_MASK, key >> 64
         self._rng.bit_generator.state = self._state
         return self._rng
-
-    def stream_seed(self, seed: int, *rest: int) -> int:
-        """``derive_seed(seed, *rest)`` for a non-empty ``rest``.  The blake2b
-        state after the prefix "(seed, " of the hashed tuple text is kept from
-        the last call with the same seed and copied."""
-        if seed != self._seed:
-            self._seed = seed
-            self._prefix = hashlib.blake2b(f"({int(seed)}, ".encode(), digest_size=16)
-        digest = self._prefix.copy()
-        digest.update(f"{', '.join(map(str, map(int, rest)))})".encode())
-        return int.from_bytes(digest.digest(), "little")
 
     def begin(self, model) -> None:
         """Start a rollout on ``model``."""
@@ -417,9 +419,9 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
     Bernoulli(1-gamma) flag fires, so a run may consist of a single step.
     Every draw is one uniform of the run's own Philox stream, read by index
     from chunks of ``_CHUNK`` doubles (the same doubles as one rng.random()
-    call per draw), and picks by the ``_pick`` rule on the model's
-    ``sampling`` tables.  Beliefs, stationary actions and the generator come
-    from ``cache``, a fresh one when None; the run is the same with any cache.
+    call per draw), and picks with ``_pick`` on the model's ``sampling``
+    tables.  Beliefs, stationary actions and the generator come from
+    ``cache``, a fresh one when None; the run is the same with any cache.
     """
     if cache is None:
         cache = RolloutCache()
@@ -438,10 +440,8 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
     successors, known = cache.successors, cache.actions
     n_obs = model.n_observations
 
-    total, cum, picks = tables.initial
-    s = picks[bisect_right(cum, u[0] * total)]
-    total, cum, picks = observe[s]
-    o = picks[bisect_right(cum, u[1] * total)]
+    s = _pick(tables.initial, u[0])
+    o = _pick(observe[s], u[1])
     k = 2  # index of the next unread uniform
     b = cache.start(o) if track_belief else None  # the belief's id
 
@@ -468,10 +468,8 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
         rewards.append(step_reward[s][a])
         if stop:
             break
-        total, cum, picks = transition[s][a]
-        s = picks[bisect_right(cum, u[k] * total)]
-        total, cum, picks = observe[s]
-        o = picks[bisect_right(cum, u[k + 1] * total)]
+        s = _pick(transition[s][a], u[k])
+        o = _pick(observe[s], u[k + 1])
         k += 2
         if track_belief:
             nxt = successors[b].get(a * n_obs + o)

@@ -155,7 +155,7 @@ def imported_modules(tree):
 
 
 def test_only_pomdp_module_imports_hashlib():
-    """Seeds are hashed in one module: pomdp.derive_seed and RolloutCache.stream_seed."""
+    """Seeds are hashed in one place, pomdp.derive_seed."""
     importers = [path.name for path in sorted(SRC.glob("*.py")) if path.name != "pomdp.py"
                  and "hashlib" in imported_modules(ast.parse(path.read_text()))]
     assert not importers, f"hashlib imported outside pomdp.py: {importers}"

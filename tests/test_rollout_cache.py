@@ -36,6 +36,13 @@ DERIVED = {
     (-1, 3): 0x5521c4253f5f37f063258189ea72f4e5,
     (1000, 4, 0x5E1EC7): 0xc2c5aaa42d3881dad1461be1f488a351,
     (42, 0): 0xee4c00f1568a55c81193d23cd7e8934f,
+    (-(2**70), 9): 0x8e2dc9ea3b071dd80812d5cb9cb122df,
+    (-1, 2**64): 0x2efac840b859ee643b9977ddb718addc,
+    (0, -4): 0x2b0b47c5e6204c8a491254d3fce8effe,
+    (1, 0x5E1EC7): 0x7234b1720a93fca6d3141316606dff12,
+    (2**64 + 5, 11, 0x5E1EC7): 0x7150e31c024920ebcf59d89ef9668e6d,
+    (2**128 - 1, 7, 0x5E1EC7): 0x5dbb9a8a0e17bb184789af197b0d1b1f,
+    (-1, 3, 0x5E1EC7): 0x4e925499bcff5aaff7899b936cd7ed30,
 }
 
 # sha256 of the first 130 doubles (more than two 64-double chunks) of the
@@ -62,21 +69,11 @@ def digest(doubles) -> str:
 
 
 def test_derive_seed_is_pinned():
-    for parts, seed in DERIVED.items():
-        assert derive_seed(*parts) == seed, parts
-
-
-def test_stream_seed_is_derive_seed():
-    """The cache's hoisted prefix hash gives the pinned seeds, whatever seed
-    the previous call hashed."""
-    cache = RolloutCache()
-    for parts, seed in DERIVED.items():
-        if len(parts) > 1:
-            assert cache.stream_seed(*parts) == seed, parts
-            assert cache.stream_seed(*parts) == seed, parts  # the kept prefix
-    for first in (-(2**70), -1, 0, 3, 2**64 + 5, 2**128 - 1):
-        for rest in ((0,), (9,), (2**64,), (-4,), (11, 0x5E1EC7)):
-            assert cache.stream_seed(first, *rest) == derive_seed(first, *rest), (first, rest)
+    """Twice over, so the second pass hashes from every memoized prefix, and
+    each first part also meets other later parts than the one it was hashed with."""
+    for _ in range(2):
+        for parts, seed in DERIVED.items():
+            assert derive_seed(*parts) == seed, parts
 
 
 @pytest.mark.parametrize("parts", sorted(STREAMS))
