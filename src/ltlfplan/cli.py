@@ -169,8 +169,12 @@ def _load_policy_for(path: Path, prod):
     doc = read_json(path, ValidationFailure, "policy")
     try:
         if "policies" in doc and "weights" in doc:
+            weights = doc["weights"]
+            if not isinstance(weights, list) or not all(
+                    type(w) in (int, float) for w in weights):  # not bool, str or null
+                raise ValueError(f"weights must be a list of JSON numbers, got {weights!r}")
             policy = MixedPolicy([load_policy(path.parent / rel) for rel in doc["policies"]],
-                                 doc["weights"])
+                                 weights)
         else:
             policy = policy_from_dict(doc)
         for member in policy.policies if isinstance(policy, MixedPolicy) else [policy]:

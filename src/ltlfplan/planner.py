@@ -33,7 +33,8 @@ import numpy as np
 from . import pbvi
 from .files import write_csv, write_json
 from .pbvi import (
-    SolverConfig, mdp_upper_bound, solve_discounted, solve_finite_horizon, start_value,
+    SolverConfig, mdp_q_table, mdp_upper_bound, solve_discounted, solve_finite_horizon,
+    start_bound, start_value,
 )
 from .pomdp import RolloutCache, Trajectory, _inverse_cdfs, _pick, derive_seed
 from .product import ProductPomdp
@@ -84,9 +85,14 @@ class MixedPolicy:
 
     def __init__(self, policies, weights):
         self.policies = list(policies)
+        weights = np.asarray(weights)
+        if weights.dtype.kind not in "iuf":  # strings, booleans and None are refused, not coerced
+            raise ValueError(f"weights must be numbers, got {weights.tolist()}")
         self.weights = np.array(weights, dtype=np.float64)
         if self.weights.shape != (len(self.policies),):
             raise ValueError("one weight per policy required")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError(f"weights must be finite, got {self.weights.tolist()}")
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > 1e-12:
@@ -104,7 +110,7 @@ class IterationRecord:
     p_se: float                 # standard errors of p_hat and r_hat
     r_se: float
     converged: bool
-    gap: float                  # mdp_upper_bound minus the policy's start value, at lam
+    gap: float                  # MDP upper bound (mdp_q_table) minus the start value, at lam
 
 
 @dataclass
@@ -194,35 +200,40 @@ def eg_update_lambda(lam: float, p_hat: float, eta: float, B: float, delta: floa
 # --------------------------------------------------------------------------
 
 _SELECT_STREAM = 0x5E1EC7
+_WINDOW = 256  # rollouts whose head rows (and mixture picks) mc_evaluate draws at once
 
 
-def rollout(policy, prod: ProductPomdp, seed: int, i: int,
-            cache: RolloutCache | None = None) -> Trajectory:
-    """Rollout i of ``mc_evaluate(policy, prod, n, seed)``.  A MixedPolicy
-    first draws its pure policy, with the first uniform of the stream
-    derive_seed(seed, i, _SELECT_STREAM), from its ``selection`` table; the
-    run then draws from the stream derive_seed(seed, i).  Both streams come
-    from the generator of ``cache``, a fresh cache when None."""
+def rollout(policy, prod: ProductPomdp, seed: int, i: int, cache: RolloutCache | None = None,
+            head: list[float] | None = None, pick: float | None = None) -> Trajectory:
+    """Rollout i of ``mc_evaluate(policy, prod, n, seed)``, for every n > i.
+
+    A MixedPolicy first picks its pure policy from its ``selection`` table
+    with double i of make_rng(derive_seed(seed, _SELECT_STREAM)); the run is
+    then rollout i of key ``seed`` (``sample_trajectory``).  ``head`` (the
+    run's first uniforms) and ``pick`` are what the caller drew in bulk, as
+    mc_evaluate does; otherwise ``cache``, a fresh one when None, draws them
+    for this rollout alone."""
     if cache is None:
         cache = RolloutCache()
     if isinstance(policy, MixedPolicy):
-        u = cache.rng(derive_seed(seed, i, _SELECT_STREAM)).random()
-        policy = policy.policies[_pick(policy.selection, u)]
-    return prod.simulate(policy, derive_seed(seed, i), cache)
+        if pick is None:
+            pick = cache.draw(derive_seed(seed, _SELECT_STREAM), i, 1, 1).item()
+        policy = policy.policies[_pick(policy.selection, pick)]
+    return prod.simulate(policy, seed, cache, i, head)
 
 
 def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
     """Estimate cumulative step reward and satisfaction probability.
 
-    Each rollout i draws from an independent stream keyed by (seed, i), so
-    estimates do not depend on execution order.  For a MixedPolicy the pure
-    policy is sampled first, from a stream separate from the trajectory's, so
-    a degenerate mixture reproduces its support policy's rollouts exactly.
-    All n rollouts share one RolloutCache, which reuses beliefs, actions and
-    the generator; ``derive_seed`` hashes the prefix "(seed, " of their
-    stream seeds once, and a mixture's selection table is built with the
-    mixture.  None of this changes an estimate.  A run's total is numpy's
-    pairwise ``rewards.sum()``, whose rounding the estimates keep.
+    Rollout i reads uniforms addressed by (seed, i) alone (``rollout``), so
+    estimates do not depend on execution order, and rollout i is the same
+    in every evaluation of more than i rollouts.  For a MixedPolicy the pure
+    policy is picked from a stream separate from the runs', so a degenerate
+    mixture reproduces its support policy's rollouts exactly.  Windows of
+    ``_WINDOW`` rollouts get their head rows, and a mixture its picks, from
+    one draw each, and all n rollouts share one RolloutCache, which reuses
+    beliefs and actions.  A run's total is numpy's pairwise
+    ``rewards.sum()``, whose rounding the estimates keep.
     """
     if n < 1:
         raise ValueError("need at least one rollout")
@@ -230,10 +241,16 @@ def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
     finals = np.empty(n)
     cache = RolloutCache()
     accepts = prod.accepts_at_stop.tolist()
-    for i in range(n):
-        traj = rollout(policy, prod, seed, i, cache)
-        totals[i] = traj.rewards.sum()
-        finals[i] = accepts[traj.states[-1]]
+    mixed = isinstance(policy, MixedPolicy)
+    select = derive_seed(seed, _SELECT_STREAM) if mixed else None
+    for start in range(0, n, _WINDOW):
+        rows = min(_WINDOW, n - start)
+        heads = cache.draw(seed, start, rows)  # a row becomes floats only when its run starts
+        picks = cache.draw(select, start, rows, 1).ravel().tolist() if mixed else [None] * rows
+        for i, head, pick in zip(range(start, start + rows), heads, picks):
+            traj = rollout(policy, prod, seed, i, cache, head.tolist(), pick)
+            totals[i] = traj.rewards.sum()
+            finals[i] = accepts[traj.states[-1]]
     r_se = float(totals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     p_se = float(finals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return EvalResult(float(totals.mean()), float(finals.mean()), r_se, p_se, n)
@@ -300,7 +317,10 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None) -> EG
 
     Inner solves are warm-started from the previous iteration's alpha set,
     shifted down by the value-change bound |d lam| / gamma so every vector
-    stays a valid lower bound under the new scalarization.  The belief walk
+    stays a valid lower bound under the new scalarization; the MDP upper
+    bound behind each gap starts from the previous one's values, raised by
+    the same shift so they stay >= V* (``mdp_q_table`` caps them at its
+    cold start).  The belief walk
     does not read the reward, so discounted solves share one belief set.
     sup R is bounded from above by mdp_upper_bound at lam = 0, not solved for.
     """
@@ -315,6 +335,7 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None) -> EG
     policies = []
     prev = None  # the previous iteration's policy, warm-starting discounted solves
     prev_lam = None
+    upper_values = None  # the previous iteration's upper-bound state values
     t_solve = 0.0
     t_simu = 0.0
     beliefs = None
@@ -324,16 +345,18 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None) -> EG
         beliefs = pbvi.expand_beliefs_random_walk(prod, cfg, stopping.gamma)
         t_solve += time.perf_counter() - tic
 
-    def inner_solve(multiplier, warm_start):
-        """The multiplier's policy and its gap at b0: the MDP upper bound minus
-        the policy's start value, both on the scalarized scale."""
+    def inner_solve(multiplier, warm_start, upper_start):
+        """The multiplier's policy, its gap at b0 (the MDP upper bound minus
+        the policy's start value, both on the scalarized scale) and the state
+        values behind that bound."""
         reward, terminal, _ = scalarize(prod, multiplier, delta)
         if stopping.kind == "geometric":
             policy = solve_discounted(prod, reward, stopping.gamma, cfg, warm_start=warm_start,
                                       beliefs=beliefs)
         else:
             policy = solve_finite_horizon(prod, reward, stopping.T, cfg, terminal=terminal)
-        return policy, mdp_upper_bound(prod, reward, terminal) - start_value(policy, prod)
+        q_table = mdp_q_table(prod, reward, terminal, start=upper_start)
+        return policy, start_bound(q_table, prod) - start_value(policy, prod), q_table.max(axis=1)
 
     for k in range(1, K + 1):
         if not 0.0 < lam < B:
@@ -341,10 +364,11 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None) -> EG
         if prev is not None and stopping.kind == "geometric":
             shift = abs(lam - prev_lam) / stopping.gamma
             warm_start = (prev.alphas - shift, prev.actions)
+            upper_start = upper_values + shift
         else:
-            warm_start = None
+            warm_start = upper_start = None
         tic = time.perf_counter()
-        policy, gap = inner_solve(lam, warm_start)
+        policy, gap, upper_values = inner_solve(lam, warm_start, upper_start)
         t_solve += time.perf_counter() - tic
         tic = time.perf_counter()
         est = mc_evaluate(policy, prod, problem.simu, derive_seed(problem.base_seed, k))

@@ -1,9 +1,9 @@
 """Labeled POMDPs: model container, file format, beliefs, trajectory simulation.
 
 Models are immutable once constructed.  All simulation randomness comes from
-counter-based Philox generators keyed by an explicit seed, so identical
-(model, policy, seed) triples reproduce bit-identical trajectories and
-rollouts can run in any order.
+counter-based Philox generators keyed by an explicit seed and addressed by
+counter, so rollout i of a seed reproduces a bit-identical trajectory for a
+given model and policy, and rollouts can run in any order.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -255,24 +255,10 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
 
 
-@lru_cache(maxsize=16)
-def _seed_prefix(first: int):
-    """The blake2b state after "(first, ", the text that begins the repr of
-    every tuple of two or more integers whose first is ``first``.  Callers
-    update copies only."""
-    return hashlib.blake2b(f"({first}, ".encode(), digest_size=16)
-
-
 def derive_seed(*parts: int) -> int:
     """Stable 128-bit seed from a tuple of integers (order-sensitive): the
-    blake2b digest of the tuple's repr.  With two or more parts the hash
-    continues a copy of the memoized ``_seed_prefix``, which gives the same
-    digest and hashes one evaluation seed's common prefix once."""
-    if len(parts) < 2:
-        digest = hashlib.blake2b(repr(tuple(map(int, parts))).encode(), digest_size=16)
-    else:
-        digest = _seed_prefix(int(parts[0])).copy()
-        digest.update(f"{', '.join(map(str, map(int, parts[1:])))})".encode())
+    blake2b digest of the tuple's repr."""
+    digest = hashlib.blake2b(repr(tuple(map(int, parts))).encode(), digest_size=16)
     return int.from_bytes(digest.digest(), "little")
 
 
@@ -324,24 +310,28 @@ class SamplingTables:
         self.rewards = model.rewards.tolist()
 
 
-_CHUNK = 64  # uniforms a run draws from its generator at a time
+_CHUNK = 64  # uniforms in a rollout's head row, and in each later read of its tail
 
 
 CACHE_FLOATS = 1 << 17  # belief floats (1 MiB) above which a rollout clears its cache
 
 
 class RolloutCache:
-    """What earlier rollouts on one model computed, for later ones to reuse.
+    """What earlier rollouts on one model computed, for later ones to reuse,
+    and the one generator that addresses every rollout's uniforms.
 
     Beliefs are interned by their bits and named by ids: one start posterior
     per o0 and one successor per (belief, a, o), so a repeated Bayes step is a
     lookup.  Each interned belief remembers the action every policy of
     ``kind == "stationary"`` took there; time-indexed and belief-free policies
-    are always asked.  One Philox generator is re-keyed per rollout instead of
-    built.  Each cached value is the one the computation it replaces returns,
-    bit for bit, so sharing a cache changes no output.  A rollout that starts
-    on another model, or while the cache holds more than ``CACHE_FLOATS``
-    belief floats, clears it first.
+    are always asked.  Each cached value is the one the computation it
+    replaces returns, bit for bit, so sharing a cache changes no output.  A
+    rollout that starts on another model, or while the cache holds more than
+    ``CACHE_FLOATS`` belief floats, clears it first.
+
+    Uniforms are addressed by Philox counter under one key (``draw``,
+    ``tail``): rollout i of key ``seed`` reads row i of make_rng(seed)'s
+    doubles, ``_CHUNK`` to a row, then the counter line i + 1 of that key.
     """
 
     def __init__(self):
@@ -351,6 +341,7 @@ class RolloutCache:
         self._state = {**state, "buffer": state["buffer"].tolist(),
                        "state": {name: words.tolist() for name, words in state["state"].items()}}
         self._key = self._state["state"]["key"]
+        self._counter = self._state["state"]["counter"]
         self.model = None
         self._ids: dict[bytes, int] = {}
         self._start: dict[int, int] = {}                  # o0 -> id
@@ -371,11 +362,28 @@ class RolloutCache:
         """The interned belief with id b, as a read-only view of its bits."""
         return np.frombuffer(self._bits[b])
 
-    def rng(self, seed: int) -> np.random.Generator:
-        """The cache's generator, reset to the start of ``make_rng(seed)``'s
-        stream whatever earlier draws left buffered."""
-        key = int(seed) & _KEY_MASK
+    def draw(self, key: int, i: int, rows: int, width: int = _CHUNK) -> np.ndarray:
+        """Rows i .. i + rows - 1 of make_rng(key)'s doubles laid ``width`` to a
+        row: doubles width*i .. width*(i + rows) - 1, as a (rows, width) array
+        from one call.  The generator is positioned there by counter (a Philox
+        block holds 4 doubles), whatever earlier draws left buffered."""
+        first = width * i
+        rng = self._seek(key, first >> 2, 0)
+        if first & 3:
+            rng.random(first & 3)
+        return rng.random((rows, width))
+
+    def tail(self, key: int, i: int) -> np.random.Generator:
+        """The generator at the start of rollout i's uniforms past its head
+        row: key ``key``'s counter line i + 1, counter words (0, i + 1, 0, 0)."""
+        return self._seek(key, 0, i + 1)
+
+    def _seek(self, key: int, block: int, line: int) -> np.random.Generator:
+        """The cache's generator keyed by ``key``, its buffer empty, next
+        producing block block + 1 of counter line ``line``."""
+        key = int(key) & _KEY_MASK
         self._key[0], self._key[1] = key & _WORD_MASK, key >> 64
+        self._counter[0], self._counter[1] = block, line
         self._rng.bit_generator.state = self._state
         return self._rng
 
@@ -410,25 +418,28 @@ class RolloutCache:
         return b
 
 
-def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = None) -> Trajectory:
-    """Simulate one run under the model's stopping rule.
+def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = None,
+                      i: int = 0, head: list[float] | None = None) -> Trajectory:
+    """Simulate rollout i of key ``seed`` under the model's stopping rule.
 
     Draw order per step t is fixed for reproducibility: stop flag (geometric
     only), action, then the transition and observation draws.  The run always
     includes (s_T, a_T); under geometric stopping T is the first t whose
     Bernoulli(1-gamma) flag fires, so a run may consist of a single step.
-    Every draw is one uniform of the run's own Philox stream, read by index
-    from chunks of ``_CHUNK`` doubles (the same doubles as one rng.random()
-    call per draw), and picks with ``_pick`` on the model's ``sampling``
-    tables.  Beliefs, stationary actions and the generator come from
-    ``cache``, a fresh one when None; the run is the same with any cache.
+    Every draw reads the next uniform of the rollout: first its head, doubles
+    64i .. 64i + 63 of make_rng(seed) (``head`` when the caller drew that row
+    in bulk, else ``cache.draw`` reads it alone), then its tail, the counter
+    line i + 1 of the same key (``cache.tail``), 64 doubles at a time.  Each
+    uniform picks with ``_pick`` on the model's ``sampling`` tables.  Beliefs,
+    stationary actions and the generator come from ``cache``, a fresh one
+    when None; the run is the same with any cache.
     """
     if cache is None:
         cache = RolloutCache()
     cache.begin(model)
     tables = model.sampling
-    random = cache.rng(seed).random
-    u = random(_CHUNK).tolist()
+    u = cache.draw(seed, i, 1)[0].tolist() if head is None else head
+    random = None  # the tail's draw, once the head runs short
     last = _CHUNK - 3  # the last index at which a step finds its (at most) 3 uniforms
     observe, transition, step_reward = tables.observe, tables.transition, tables.rewards
     stopping = model.stopping
@@ -449,6 +460,8 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
     t = 0
     while True:
         if k > last:
+            if random is None:
+                random = cache.tail(seed, i).random
             u = u[k:] + random(_CHUNK).tolist()
             k, last = 0, len(u) - 3
         if geometric:

@@ -70,9 +70,10 @@ class ProductPomdp(LabeledPomdp):
         """Whether a run on this product satisfies the spec."""
         return bool(self.accepts_at_stop[traj.states[-1]])
 
-    def simulate(self, policy, seed: int, cache: RolloutCache | None = None) -> Trajectory:
-        """Sample one run on this product: a plain ``sample_trajectory`` run."""
-        return sample_trajectory(self, policy, seed, cache)
+    def simulate(self, policy, seed: int, cache: RolloutCache | None = None, i: int = 0,
+                 head: list[float] | None = None) -> Trajectory:
+        """Sample rollout i of ``seed`` on this product: a plain ``sample_trajectory`` run."""
+        return sample_trajectory(self, policy, seed, cache, i, head)
 
     def base_run(self, traj: Trajectory) -> np.ndarray:
         """Base-model state sequence embedded in a product trajectory."""

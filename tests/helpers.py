@@ -191,11 +191,29 @@ class ReferenceAlphaAction:
         return int(stage.actions[int(np.argmax(stage.alphas @ belief))])
 
 
-def reference_sample_trajectory(model, policy, seed):
-    """One run with one scalar rng.random() per draw, in the simulator's
-    draw order: s0, o0, then per step the stop flag (geometric only), the
-    action, the transition and the observation."""
-    rng = make_rng(seed)
+class ReferenceUniforms:
+    """Rollout i of key ``seed``'s uniforms, read one at a time from the
+    documented layout with plain numpy: its head, doubles 64i .. 64i + 63 of
+    make_rng(seed) (the generator advanced 16i Philox blocks of 4 doubles),
+    then its tail, the Philox counter line (0, i + 1, 0, 0) of the same key
+    from its start."""
+
+    def __init__(self, seed, i=0):
+        head = make_rng(seed)
+        head.bit_generator.advance(16 * i)
+        self.head = head.random(64).tolist()
+        key = int(seed) % 2**128
+        self.tail = np.random.Generator(np.random.Philox(key=key, counter=[0, i + 1, 0, 0]))
+
+    def random(self):
+        return self.head.pop(0) if self.head else self.tail.random()
+
+
+def reference_sample_trajectory(model, policy, seed, i=0):
+    """Rollout i of ``seed`` with one scalar random() per draw, in the
+    simulator's draw order: s0, o0, then per step the stop flag (geometric
+    only), the action, the transition and the observation."""
+    rng = ReferenceUniforms(seed, i)
     stopping = model.stopping
     track_belief = getattr(policy, "needs_belief", True)
 
@@ -237,13 +255,14 @@ def dfa_accepts_run(prod, traj):
 
 
 def reference_mc_evaluate(policy, prod, n, seed):
-    """(r_hat, p_hat, r_se, p_se) of a MixedPolicy from reference runs: the
-    selection draw, the run and the verdict each computed independently."""
+    """(r_hat, p_hat, r_se, p_se) of a MixedPolicy from reference runs:
+    rollout i picks its pure policy with double i of the selection stream,
+    and the run and the verdict are each computed independently."""
+    select = make_rng(derive_seed(seed, _SELECT_STREAM))  # read in order: double i for rollout i
     totals, finals = np.empty(n), np.empty(n)
     for i in range(n):
-        select = make_rng(derive_seed(seed, i, _SELECT_STREAM))
         pure = policy.policies[reference_categorical(select, policy.weights)]
-        traj = reference_sample_trajectory(prod, ReferenceAlphaAction(pure), derive_seed(seed, i))
+        traj = reference_sample_trajectory(prod, ReferenceAlphaAction(pure), seed, i)
         totals[i] = traj.rewards.sum()
         finals[i] = 1.0 if dfa_accepts_run(prod, traj) else 0.0
     return (float(totals.mean()), float(finals.mean()),

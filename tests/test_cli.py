@@ -210,8 +210,8 @@ def test_trace_replays_rollout_zero_of_evaluate(tmp_path, model_file, monkeypatc
     simulated = []
     simulate = ProductPomdp.simulate
 
-    def recording(prod, policy, seed, cache=None):
-        traj = simulate(prod, policy, seed, cache)
+    def recording(prod, policy, seed, cache=None, i=0, head=None):
+        traj = simulate(prod, policy, seed, cache, i, head)
         simulated.append((prod, traj))
         return traj
 
@@ -335,15 +335,22 @@ MALFORMED_POLICIES = {
 }
 
 
+# mixture weights that are not finite JSON numbers
+MALFORMED_WEIGHTS = {"weights_nan": [float("nan"), 1.0], "weights_inf": [float("inf"), 0.0],
+                     "weights_string": ["0.5", "0.5"], "weights_bool": [True, False]}
+
+
 @pytest.mark.parametrize("command", ["evaluate", "trace"])
-@pytest.mark.parametrize("case", sorted(MALFORMED_POLICIES) + ["weights_sum_1.1",
-                                                              "second_member_wrong_states"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_POLICIES) + sorted(MALFORMED_WEIGHTS)
+                         + ["weights_sum_1.1", "second_member_wrong_states"])
 def test_malformed_policy_files_exit_3(tmp_path, model_file, command, case):
     n = 4
     good = {"kind": "stationary", "n_states": n, "gamma": 0.9, "alphas": _vectors(n)}
     (tmp_path / "good.json").write_text(json.dumps(good))
     if case == "weights_sum_1.1":
         doc = {"weights": [0.6, 0.5], "policies": ["good.json", "good.json"]}
+    elif case in MALFORMED_WEIGHTS:
+        doc = {"weights": MALFORMED_WEIGHTS[case], "policies": ["good.json", "good.json"]}
     elif case == "second_member_wrong_states":
         (tmp_path / "bad.json").write_text(json.dumps(MALFORMED_POLICIES["wrong_state_count"](n)))
         doc = {"weights": [0.5, 0.5], "policies": ["good.json", "bad.json"]}

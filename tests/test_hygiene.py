@@ -2,7 +2,7 @@
 import sits at module level, only ``product.py`` constructs a
 ``ProductPomdp``, only ``ltlf.py`` names the atom-name pattern, only
 ``files.py`` writes or reads artifact files, and only ``pomdp.py`` imports
-``hashlib``, the seed hash.
+``hashlib``, the seed hash, or builds and positions Philox generators.
 
 ``__init__.py`` is exempt from the import check: its imports are the package's
 re-exports.
@@ -165,3 +165,33 @@ def test_the_check_sees_a_hashlib_import():
     tree = ast.parse("import hashlib as h\nfrom hashlib import blake2b\nimport os.path\n"
                      "from .pomdp import derive_seed\n")
     assert list(imported_modules(tree)) == ["hashlib", "hashlib", "os"]
+
+
+def stream_addressing(tree):
+    """Lines that call ``np.random.Philox(`` (by any dotted path ending in
+    ``random.Philox``) or assign to a ``bit_generator.state``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "Philox" and isinstance(node.func.value, ast.Attribute) \
+                and node.func.value.attr == "random":
+            yield node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Attribute) and t.attr == "state"
+                and isinstance(t.value, ast.Attribute) and t.value.attr == "bit_generator"
+                for t in node.targets):
+            yield node.lineno
+
+
+def test_only_pomdp_module_addresses_streams():
+    """Philox generators are built and positioned in one place, pomdp.py, so
+    the rollout layout (RolloutCache.draw and .tail) has one home."""
+    found = {path.name: lines for path in sorted(SRC.glob("*.py")) if path.name != "pomdp.py"
+             and (lines := list(stream_addressing(ast.parse(path.read_text()))))}
+    assert not found, f"Philox built or bit_generator.state set outside pomdp.py: {found}"
+
+
+def test_the_check_sees_stream_addressing():
+    tree = ast.parse("import numpy as np\ng = np.random.Philox(key=1)\n"
+                     "rng.bit_generator.state = s\nnp.random.default_rng(1)\n"
+                     "x = rng.bit_generator.state\nself._rng.bit_generator.state = s\n")
+    assert sorted(stream_addressing(tree)) == [2, 3, 6]

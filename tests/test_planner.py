@@ -11,12 +11,14 @@ import pytest
 
 from ltlfplan import pbvi, planner
 from ltlfplan.benchmarks import (
-    accepting_sink_instance, build_instance, chain3, random_tiny_model, twostate_constrained,
+    PRESETS, accepting_sink_instance, build_instance, chain3, random_tiny_model,
+    twostate_constrained,
 )
 from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import parse_formula
 from ltlfplan.pbvi import (
-    AlphaPolicy, SolverConfig, solve_discounted, solve_finite_horizon, start_value,
+    AlphaPolicy, SolverConfig, mdp_upper_bound, solve_discounted, solve_finite_horizon,
+    start_value,
 )
 from ltlfplan.planner import (
     ConstrainedProblem, MixedPolicy, auto_eta, eg_solve, eg_update_lambda, mc_evaluate,
@@ -25,7 +27,7 @@ from ltlfplan.planner import (
 from ltlfplan.pomdp import FixedActionPolicy, StoppingModel, derive_seed
 from ltlfplan.product import build_product, constrained_product
 
-from helpers import deterministic_chain, eval_stationary_product_policy
+from helpers import deterministic_chain, eval_stationary_product_policy, reference_mc_evaluate
 
 
 def product_for(model, spec):
@@ -194,6 +196,10 @@ def test_mixed_policy_validation():
         MixedPolicy([p], [0.5])
     with pytest.raises(ValueError):
         MixedPolicy([p, p], [1.5, -0.5])
+    # non-finite weights would pass the sum check; strings and booleans are not coerced
+    for weights in ([math.nan, 1.0], [math.inf, 0.0], ["0.5", "0.5"], [True, False]):
+        with pytest.raises(ValueError, match="finite|numbers"):
+            MixedPolicy([p, p], weights)
     # the selection table is built once, from the mixture's own read-only weights
     weights = np.array([0.25, 0.75])
     mixture = MixedPolicy([p, p], weights)
@@ -207,14 +213,15 @@ def test_mixed_policy_validation():
 # estimates are summed in changes a digest.  Policies are solved cold; as for
 # the solver digests, BLAS runs on one thread.
 EVAL_DIGESTS = {
-    "twostate_alpha": "48668400c6ad0a955c092b15231c0d9945fb7f6040e69c0638f24aeb765270a5",
-    "twostate_mixture": "358c220fe769c4fd15897e20e07af232650d5f55e0d396ddce3c219630bcb346",
-    "m7": "4ad5656215d6172b603faeb28a10e6109a164a4add366cf9fd07d4f4fe7bc93d",
-    "fixed": "9bd84de1e21f7a3bd6f323bf00891acf676887780a0580229bf4743646738aa4",
+    "twostate_alpha": "02742f7a070ac3ef88fbe1d2959a9ce9cf4f3f5eb38805687a55fffd3b8d060d",
+    "twostate_mixture": "c9eadb2a9116651c90a5350e1ced4286f212d51aea6ba0d15284f066f95703fc",
+    "m7": "c37ebd70e32059e5abcc54aa7c0330004ea30776d00912ad20cf0f8f4bbc1381",
+    "fixed": "f227fffccfaeccdfecd736ebbff2289ffb19a87d554b69fa5f85b5058a858328",
 }
 
 
-def eval_digest(case):
+def eval_case(case):
+    """(policy, product, n, seed) of one recorded evaluation."""
     if case.startswith("twostate"):
         prod = constrained_product(*twostate_constrained(0.9))
         cfg = SolverConfig(n_beliefs=12, max_backup_rounds=200, expansion_seed=1)
@@ -236,6 +243,11 @@ def eval_digest(case):
         policy = solve_finite_horizon(prod, reward, 12, SolverConfig(n_beliefs=3), terminal=terminal)
         assert policy.kind == "time_indexed"
         n, seed = 500, 64
+    return policy, prod, n, seed
+
+
+def eval_digest(case):
+    policy, prod, n, seed = eval_case(case)
     est = mc_evaluate(policy, prod, n, seed)
     values = (est.r_hat, est.p_hat, est.r_se, est.p_se)
     return hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
@@ -257,6 +269,16 @@ def eval_digests():
 @pytest.mark.parametrize("case", sorted(EVAL_DIGESTS))
 def test_evaluations_are_the_recorded_bits(case, eval_digests):
     assert eval_digests[case] == EVAL_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_DIGESTS))
+def test_recorded_evaluations_match_the_reference(case):
+    """Each recorded evaluation is the reference oracle's, which reads the
+    rollout layout with plain numpy; a pure policy as its one-policy mixture."""
+    policy, prod, n, seed = eval_case(case)
+    mixture = policy if isinstance(policy, MixedPolicy) else MixedPolicy([policy], [1.0])
+    est = mc_evaluate(policy, prod, n, seed)
+    assert (est.r_hat, est.p_hat, est.r_se, est.p_se) == reference_mc_evaluate(mixture, prod, n, seed)
 
 
 # --------------------------------------------------------------------------
@@ -402,6 +424,30 @@ def test_theorem2_report_contents(twostate_product):
     unconstrained = solve_discounted(twostate_product, reward, 0.9,
                                      SolverConfig(n_beliefs=8, max_backup_rounds=150))
     assert report["r_m_upper_bound"] >= start_value(unconstrained, twostate_product)
+
+
+def test_warm_upper_bounds_hold_and_match_cold_ones(monkeypatch):
+    """eg_solve starts each iteration's MDP upper bound from the previous
+    one's values raised by |d lam| / gamma: the bound stays >= the iterate's
+    start value and within 1e-6 of the cold bound at the same lam."""
+    starts = []
+    q_table = planner.mdp_q_table
+
+    def recording(*args, start=None):
+        starts.append(start)
+        return q_table(*args, start=start)
+
+    monkeypatch.setattr(planner, "mdp_q_table", recording)
+    prod, preset = build_instance("M1"), PRESETS["M1"]
+    problem = ConstrainedProblem(prod, threshold=preset.threshold, B=preset.B, K=3,
+                                 eta=preset.eta, simu=20, base_seed=1)
+    result = eg_solve(problem, SolverConfig(n_beliefs=20, max_backup_rounds=30, expansion_seed=1))
+    assert starts[0] is None and all(start is not None for start in starts[1:])
+    for rec, policy in zip(result.records, result.mixture.policies):
+        lower = start_value(policy, prod)
+        cold = mdp_upper_bound(prod, scalarize(prod, rec.lam, problem.delta)[0])
+        assert rec.gap >= 0.0
+        assert abs(rec.gap + lower - cold) <= 1e-6
 
 
 def test_eg_solve_makes_k_solves_over_one_belief_walk(twostate_product, monkeypatch):

@@ -1,9 +1,9 @@
-"""A RolloutCache changes no run.
+"""A RolloutCache changes no run, and rollout i depends only on (seed, i).
 
 Runs through one shared cache equal fresh runs (each with its own cache) and
-the reference simulator in ``helpers`` field by field, and the cache's
-re-keyed generator reproduces the pinned Philox streams that every rollout
-seed names.
+the reference simulator in ``helpers`` field by field; the cache's positioned
+draws reproduce the pinned Philox streams; and rollout i of an evaluation is
+the lone ``rollout(policy, prod, seed, i)`` whatever the evaluation's size.
 """
 
 import hashlib
@@ -15,7 +15,7 @@ import ltlfplan.product
 from ltlfplan import pomdp
 from ltlfplan.benchmarks import make_model, make_spec, twostate_constrained
 from ltlfplan.pbvi import AlphaPolicy, SolverConfig, solve_discounted, solve_finite_horizon
-from ltlfplan.planner import MixedPolicy, mc_evaluate, scalarize
+from ltlfplan.planner import MixedPolicy, mc_evaluate, rollout, scalarize
 from ltlfplan.pomdp import (
     _CHUNK, LabeledPomdp, RandomPolicy, RolloutCache, StoppingModel, derive_seed, make_rng,
     sample_trajectory,
@@ -25,7 +25,8 @@ from ltlfplan.product import constrained_product
 from helpers import ReferenceAlphaAction, reference_mc_evaluate, reference_sample_trajectory
 
 # --------------------------------------------------------------------------
-# Reproducibility pins: rollout i of seed s reads make_rng(derive_seed(s, i))
+# Reproducibility pins: derive_seed names evaluation and selection keys, and
+# rollout i of key s reads row i of make_rng(s)'s doubles, 64 to a row
 # --------------------------------------------------------------------------
 
 DERIVED = {
@@ -69,11 +70,8 @@ def digest(doubles) -> str:
 
 
 def test_derive_seed_is_pinned():
-    """Twice over, so the second pass hashes from every memoized prefix, and
-    each first part also meets other later parts than the one it was hashed with."""
-    for _ in range(2):
-        for parts, seed in DERIVED.items():
-            assert derive_seed(*parts) == seed, parts
+    for parts, seed in DERIVED.items():
+        assert derive_seed(*parts) == seed, parts
 
 
 @pytest.mark.parametrize("parts", sorted(STREAMS))
@@ -81,18 +79,36 @@ def test_rekeyed_generator_gives_the_pinned_stream(parts):
     key = stream_key(parts)
     assert digest(make_rng(key).random(130)) == STREAMS[parts]
     cache = RolloutCache()
-    assert digest(cache.rng(key).random(130)) == STREAMS[parts]
-    # the previous rollout stopped inside a Philox block and left a buffered
-    # uint32 from integers()
-    rng = cache.rng(derive_seed(7, 7))
+    assert digest(cache.draw(key, 0, 130, 1)) == STREAMS[parts]
+    # the previous rollout stopped inside a Philox block of a tail line and
+    # left a buffered uint32 from integers()
+    rng = cache.tail(derive_seed(7, 7), 3)
     rng.random(30)
     rng.integers(5)
     state = rng.bit_generator.state
     assert state["buffer_pos"] % 4 and state["has_uint32"] == 1
-    # the simulator reads the stream in chunks of _CHUNK doubles
-    rng = cache.rng(key)
-    chunks = [rng.random(_CHUNK) for _ in range(-(-130 // _CHUNK))]
-    assert digest(np.concatenate(chunks)[:130]) == STREAMS[parts]
+    # head rows of _CHUNK doubles, then single doubles at offsets inside a block
+    rows = cache.draw(key, 0, 2)
+    assert rows.shape == (2, _CHUNK)
+    singles = [cache.draw(key, j, 1, 1) for j in (128, 129)]
+    assert digest(np.concatenate([rows.ravel(), *map(np.ravel, singles)])) == STREAMS[parts]
+    # rows of a width that is no multiple of a block, the second read first
+    second, first = cache.draw(key, 1, 1, 65), cache.draw(key, 0, 1, 65)
+    assert digest(np.concatenate([first, second], axis=1)) == STREAMS[parts]
+
+
+@pytest.mark.parametrize("i", [0, 1, 255, 2**40])
+def test_rollout_rows_and_tails_are_counter_addressed(i):
+    """Row i is make_rng(key) advanced 16i blocks; the tail of rollout i is
+    the Philox counter line (0, i + 1, 0, 0) of the same key, from its start."""
+    key = derive_seed(3, 4)
+    cache = RolloutCache()
+    rng = make_rng(key)
+    rng.bit_generator.advance(16 * i)
+    assert np.array_equal(cache.draw(key, i, 1)[0], rng.random(_CHUNK))
+    want = np.random.Generator(np.random.Philox(key=key, counter=[0, i + 1, 0, 0])).random(130)
+    tail = cache.tail(key, i)
+    assert np.array_equal(np.concatenate([tail.random(_CHUNK) for _ in range(3)])[:130], want)
 
 
 # --------------------------------------------------------------------------
@@ -156,10 +172,9 @@ def assert_cache_changes_nothing(prod, triples, cache, n=60, seed=31):
     steps = 0
     for i in range(n):
         shared, fresh, ref = triples(i)
-        run_seed = derive_seed(seed, i)
-        got = prod.simulate(shared, run_seed, cache)
-        for want in (sample_trajectory(prod, fresh, run_seed),
-                     reference_sample_trajectory(prod, ref, run_seed)):
+        got = prod.simulate(shared, seed, cache, i)
+        for want in (sample_trajectory(prod, fresh, seed, i=i),
+                     reference_sample_trajectory(prod, ref, seed, i)):
             for field in ("states", "actions", "observations", "rewards"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.dtype == b.dtype and np.array_equal(a, b), (i, field)
@@ -257,3 +272,74 @@ def test_mc_evaluate_makes_one_simulator_call_per_rollout(m7, monkeypatch):
         calls.clear()
         mc_evaluate(policy, prod, 37, seed=4)
         assert len(calls) == 37
+
+
+# --------------------------------------------------------------------------
+# Rollout i depends only on (seed, i)
+# --------------------------------------------------------------------------
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """(policy, run) of every product.sample_trajectory call, in call order."""
+    runs = []
+    simulate = ltlfplan.product.sample_trajectory
+
+    def recording(model, policy, *args):
+        traj = simulate(model, policy, *args)
+        runs.append((policy, traj))
+        return traj
+
+    monkeypatch.setattr(ltlfplan.product, "sample_trajectory", recording)
+    return runs
+
+
+def same_run(a, b) -> bool:
+    return all(np.array_equal(getattr(a, field), getattr(b, field))
+               for field in ("states", "actions", "observations", "rewards"))
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixture"])
+def test_a_lone_rollout_is_rollout_i_of_an_evaluation(m7, recorded, kind):
+    """At the edges of mc_evaluate's 256-rollout windows and at n - 1, on M7,
+    where most runs read past their 64-uniform head."""
+    prod, policies = m7
+    policy = policies[0] if kind == "pure" else MixedPolicy(policies, [0.5, 0.3, 0.2])
+    n = 300
+    mc_evaluate(policy, prod, n, seed=41)
+    inside = list(recorded)
+    assert len(inside) == n
+    assert sum(len(traj) >= 22 for _, traj in inside) > n // 2  # 3 uniforms a step past s0, o0
+    for i in (0, 255, 256, 257, n - 1):
+        recorded.clear()
+        lone = rollout(policy, prod, 41, i)
+        (picked, run), = recorded
+        assert picked is inside[i][0] and same_run(lone, inside[i][1]) and same_run(run, lone), i
+
+
+def test_evaluations_of_different_sizes_share_their_runs(m7, recorded):
+    prod, policies = m7
+    mixture = MixedPolicy(policies, [0.5, 0.3, 0.2])
+    mc_evaluate(mixture, prod, 270, seed=42)
+    larger = list(recorded)
+    recorded.clear()
+    mc_evaluate(mixture, prod, 40, seed=42)
+    assert len(recorded) == 40
+    assert all(p is q and same_run(a, b) for (p, a), (q, b) in zip(recorded, larger))
+
+
+def test_head_rows_and_picks_come_in_bounded_windows(monkeypatch):
+    """mc_evaluate draws at most 256 head rows (128 KiB) or picks at a time,
+    and no rollout draws its head alone."""
+    prod = constrained_product(*twostate_constrained(0.9))
+    stay = AlphaPolicy(np.zeros((1, prod.n_states)), [0])
+    draws = []
+    draw = RolloutCache.draw
+
+    def recording(self, key, i, rows, width=_CHUNK):
+        draws.append((i, rows, width))
+        return draw(self, key, i, rows, width)
+
+    monkeypatch.setattr(RolloutCache, "draw", recording)
+    mc_evaluate(MixedPolicy([stay, stay], [0.5, 0.5]), prod, 600, seed=43)
+    windows = [(0, 256), (256, 256), (512, 88)]
+    assert draws == [(i, rows, width) for i, rows in windows for width in (_CHUNK, 1)]
