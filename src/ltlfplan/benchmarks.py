@@ -285,21 +285,15 @@ def render_trajectory_ascii(prod: ProductPomdp, traj) -> str:
     width = max(x for x, _ in coords) + 1
     height = max(y for _, y in coords) + 1
     labels = prod.base.label_sets()
-    cell_letter = {}
-    for idx, (x, y) in enumerate(coords):
-        if labels[idx]:
-            cell_letter[(x, y)] = sorted(labels[idx])[0]
+    cell_letter = {cell: min(labels[idx]) for idx, cell in enumerate(coords) if labels[idx]}
     frames = []
     for r, s in zip(rows, prod.base_run(traj)):
         ax, ay = coords[int(s)]
         lines = [f"t={r['t']} q={r['q']} a={r['a']} r={r['r']:g}"]
         for y in range(height - 1, -1, -1):
-            line = []
-            for x in range(width):
-                ch = cell_letter.get((x, y), ".")
-                if (x, y) == (ax, ay):
-                    ch = ch.upper() if ch != "." else "@"
-                line.append(ch)
+            line = [cell_letter.get((x, y), ".") for x in range(width)]
+            if y == ay:
+                line[ax] = line[ax].upper() if line[ax] != "." else "@"
             lines.append(" ".join(line))
         frames.append("\n".join(lines))
     return "\n\n".join(frames)

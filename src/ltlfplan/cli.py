@@ -23,11 +23,11 @@ from .benchmarks import (
     trajectory_table,
 )
 from .dfa import compile_minimal_dfa, dfa_to_dot, save_dfa
-from .files import read_json, write_csv, write_json
+from .files import json_list, read_json, read_text, write_csv, write_json
 from .ltlf import LtlfError, parse_formula
 from .pbvi import SolverConfig, check_policy, load_policy, policy_from_dict, save_policy
 from .planner import (
-    ConstrainedProblem, MixedPolicy, eg_solve, export_trace_csv, mc_evaluate, rollout, save_result,
+    ConstrainedProblem, MixedPolicy, eg_solve, export_trace_csv, mc_evaluate, rollouts, save_result,
 )
 from .pomdp import ModelError, load_model
 from .product import constrained_product, save_product
@@ -47,7 +47,10 @@ class ValidationFailure(Exception):
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationFailure(f"cannot create output directory {out}: {exc.strerror}") from None
     return out
 
 
@@ -72,7 +75,7 @@ def _load_spec_text(args) -> str:
     if args.spec is not None:
         return args.spec
     if args.spec_file is not None:
-        return Path(args.spec_file).read_text().strip()
+        return read_text(args.spec_file, ValidationFailure, "spec").strip()
     raise ValidationFailure("one of --spec or --spec-file is required")
 
 
@@ -169,12 +172,11 @@ def _load_policy_for(path: Path, prod):
     doc = read_json(path, ValidationFailure, "policy")
     try:
         if "policies" in doc and "weights" in doc:
-            weights = doc["weights"]
-            if not isinstance(weights, list) or not all(
-                    type(w) in (int, float) for w in weights):  # not bool, str or null
-                raise ValueError(f"weights must be a list of JSON numbers, got {weights!r}")
-            policy = MixedPolicy([load_policy(path.parent / rel) for rel in doc["policies"]],
-                                 weights)
+            weights, files = doc["weights"], doc["policies"]
+            if not (json_list(weights, (int, float)) and json_list(files, (str,))):
+                raise ValueError(f"weights must be a list of JSON numbers and policies one of "
+                                 f"file names, got {weights!r} and {files!r}")
+            policy = MixedPolicy([load_policy(path.parent / rel) for rel in files], weights)
         else:
             policy = policy_from_dict(doc)
         for member in policy.policies if isinstance(policy, MixedPolicy) else [policy]:
@@ -246,7 +248,7 @@ def cmd_bench(args) -> int:
 def cmd_trace(args) -> int:
     text, prod = _product(args)
     policy = _load_policy_for(Path(args.policy), prod)
-    traj = rollout(policy, prod, args.seed, 0)  # rollout 0 of `evaluate --seed`
+    traj = next(rollouts(policy, prod, args.seed, 1))  # rollout 0 of `evaluate --seed`
     out = _out_dir(args)
     write_csv(out / "trace.csv", ["t", "s", "q", "a", "o", "r"], trajectory_table(prod, traj))
     frames = render_trajectory_ascii(prod, traj)

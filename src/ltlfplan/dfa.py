@@ -11,12 +11,11 @@ needed.  Moore partition refinement yields the minimal automaton.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .files import read_json, write_json
+from .files import json_list, read_json, write_json
 from .ltlf import (
     FALSE, TRUE, Always, And, Atom, Eventually, FalseConst, Formula, Implies,
     LtlfError, Next, Not, Or, Release, TrueConst, Until, WeakNext, Word, check_atoms,
@@ -416,11 +415,14 @@ def dfa_from_dict(doc: dict) -> Dfa:
                                                               "accepting")]
     except KeyError as exc:
         raise LtlfError(f"DFA document missing field {exc}") from exc
-    if not (isinstance(delta, list) and all(isinstance(row, list) for row in delta)
-            and isinstance(accepting, list)
-            and all(type(q) is int for q in [initial, *accepting, *chain(*delta)])):
-        raise LtlfError("DFA initial, accepting and delta entries must be JSON integers")
-    dfa = Dfa(atoms, delta, initial, accepting, doc.get("annotations"), name=doc.get("name", ""))
+    annotations, name = doc.get("annotations"), doc.get("name", "")
+    if not (json_list(delta, (list,)) and all(json_list(row, (int,)) for row in delta)
+            and json_list(accepting, (int,)) and type(initial) is int
+            and json_list(atoms, (str,)) and type(name) is str
+            and (annotations is None or json_list(annotations, (str,)))):
+        raise LtlfError("DFA initial, accepting and delta entries must be JSON integers, and "
+                        "its atoms, name and annotations (when not null) JSON strings")
+    dfa = Dfa(atoms, delta, initial, accepting, annotations, name=name)
     if "n_states" in doc:
         n_states = doc["n_states"]
         if type(n_states) is not int:

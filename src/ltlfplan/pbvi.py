@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .files import read_json, write_json
+from .files import json_list, read_json, write_json
 from .pomdp import _categorical, condition, derive_seed, initial_beliefs, make_rng, predict
 
 BELIEF_GAP = 1e-2  # L1 distance below which a sampled belief is not admitted
@@ -461,7 +461,10 @@ def _gamma(value):
 
 
 def _vectors_from_list(vectors: list, **kwargs) -> AlphaPolicy:
-    return AlphaPolicy(np.array([v["values"] for v in vectors], dtype=np.float64),
+    values = [v["values"] for v in vectors]
+    if not all(json_list(row, (int, float)) for row in values):
+        raise ValueError("alpha vector values must be lists of JSON numbers")
+    return AlphaPolicy(np.array(values, dtype=np.float64),
                        [_integer(v["action"], "an alpha vector's action") for v in vectors],
                        **kwargs)
 

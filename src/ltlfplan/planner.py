@@ -36,7 +36,7 @@ from .pbvi import (
     SolverConfig, mdp_q_table, mdp_upper_bound, solve_discounted, solve_finite_horizon,
     start_bound, start_value,
 )
-from .pomdp import RolloutCache, Trajectory, _inverse_cdfs, _pick, derive_seed
+from .pomdp import RolloutCache, _inverse_cdfs, _pick, derive_seed
 from .product import ProductPomdp
 
 
@@ -200,59 +200,42 @@ def eg_update_lambda(lam: float, p_hat: float, eta: float, B: float, delta: floa
 # --------------------------------------------------------------------------
 
 _SELECT_STREAM = 0x5E1EC7
-_WINDOW = 256  # rollouts whose head rows (and mixture picks) mc_evaluate draws at once
+_WINDOW = 256  # rollouts whose head rows (and mixture picks) come from one draw
 
 
-def rollout(policy, prod: ProductPomdp, seed: int, i: int, cache: RolloutCache | None = None,
-            head: list[float] | None = None, pick: float | None = None) -> Trajectory:
-    """Rollout i of ``mc_evaluate(policy, prod, n, seed)``, for every n > i.
-
-    A MixedPolicy first picks its pure policy from its ``selection`` table
-    with double i of make_rng(derive_seed(seed, _SELECT_STREAM)); the run is
-    then rollout i of key ``seed`` (``sample_trajectory``).  ``head`` (the
-    run's first uniforms) and ``pick`` are what the caller drew in bulk, as
-    mc_evaluate does; otherwise ``cache``, a fresh one when None, draws them
-    for this rollout alone."""
-    if cache is None:
-        cache = RolloutCache()
-    if isinstance(policy, MixedPolicy):
-        if pick is None:
-            pick = cache.draw(derive_seed(seed, _SELECT_STREAM), i, 1, 1).item()
-        policy = policy.policies[_pick(policy.selection, pick)]
-    return prod.simulate(policy, seed, cache, i, head)
-
-
-def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
-    """Estimate cumulative step reward and satisfaction probability.
-
-    Rollout i reads uniforms addressed by (seed, i) alone (``rollout``), so
-    estimates do not depend on execution order, and rollout i is the same
-    in every evaluation of more than i rollouts.  For a MixedPolicy the pure
-    policy is picked from a stream separate from the runs', so a degenerate
-    mixture reproduces its support policy's rollouts exactly.  Windows of
-    ``_WINDOW`` rollouts get their head rows, and a mixture its picks, from
-    one draw each, and all n rollouts share one RolloutCache, which reuses
-    beliefs and actions.  A run's total is numpy's pairwise
-    ``rewards.sum()``, whose rounding the estimates keep.
-    """
-    if n < 1:
-        raise ValueError("need at least one rollout")
-    totals = np.empty(n)
-    finals = np.empty(n)
+def rollouts(policy, prod: ProductPomdp, seed: int, n: int):
+    """Rollouts 0 .. n - 1 of key ``seed`` under ``policy``, in order; rollout
+    i depends on (seed, i) alone.  A MixedPolicy picks rollout i's pure policy
+    from its ``selection`` table with double i of make_rng(derive_seed(seed,
+    _SELECT_STREAM)), a stream apart from the runs', so a degenerate mixture
+    repeats its policy's runs; the run is rollout i of key ``seed``
+    (``sample_trajectory``).  Each window of ``_WINDOW`` rollouts draws its
+    head rows, and its picks, at once, and all n share one RolloutCache."""
     cache = RolloutCache()
-    accepts = prod.accepts_at_stop.tolist()
-    mixed = isinstance(policy, MixedPolicy)
-    select = derive_seed(seed, _SELECT_STREAM) if mixed else None
+    select = derive_seed(seed, _SELECT_STREAM) if isinstance(policy, MixedPolicy) else None
     for start in range(0, n, _WINDOW):
         rows = min(_WINDOW, n - start)
         heads = cache.draw(seed, start, rows)  # a row becomes floats only when its run starts
-        picks = cache.draw(select, start, rows, 1).ravel().tolist() if mixed else [None] * rows
-        for i, head, pick in zip(range(start, start + rows), heads, picks):
-            traj = rollout(policy, prod, seed, i, cache, head.tolist(), pick)
-            totals[i] = traj.rewards.sum()
-            finals[i] = accepts[traj.states[-1]]
-    r_se = float(totals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    p_se = float(finals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        pures = [policy] * rows if select is None else [
+            policy.policies[_pick(policy.selection, u)]
+            for u in cache.draw(select, start, rows, 1).ravel().tolist()]
+        for i, head, pure in zip(range(start, start + rows), heads, pures):
+            yield prod.simulate(pure, seed, cache, i, head.tolist())
+
+
+def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
+    """Estimate cumulative step reward and satisfaction probability from
+    ``rollouts(policy, prod, seed, n)``, so rollout i is the same in every
+    evaluation of more than i rollouts.  A run's total is numpy's pairwise
+    ``rewards.sum()``, whose rounding the estimates keep."""
+    if n < 1:
+        raise ValueError("need at least one rollout")
+    totals, finals = np.empty(n), np.empty(n)
+    accepts = prod.accepts_at_stop.tolist()
+    for i, traj in enumerate(rollouts(policy, prod, seed, n)):
+        totals[i] = traj.rewards.sum()
+        finals[i] = accepts[traj.states[-1]]
+    r_se, p_se = (float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0 for x in (totals, finals))
     return EvalResult(float(totals.mean()), float(finals.mean()), r_se, p_se, n)
 
 

@@ -427,8 +427,8 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
     includes (s_T, a_T); under geometric stopping T is the first t whose
     Bernoulli(1-gamma) flag fires, so a run may consist of a single step.
     Every draw reads the next uniform of the rollout: first its head, doubles
-    64i .. 64i + 63 of make_rng(seed) (``head`` when the caller drew that row
-    in bulk, else ``cache.draw`` reads it alone), then its tail, the counter
+    64i .. 64i + 63 of make_rng(seed) (``head``, the row ``planner.rollouts``
+    drew in bulk, else ``cache.draw`` reads it alone), then its tail, the counter
     line i + 1 of the same key (``cache.tail``), 64 doubles at a time.  Each
     uniform picks with ``_pick`` on the model's ``sampling`` tables.  Beliefs,
     stationary actions and the generator come from ``cache``, a fresh one

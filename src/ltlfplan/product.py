@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dfa import Dfa, compile_minimal_dfa, dfa_from_dict, dfa_to_dict
-from .files import read_json, write_json
+from .files import json_list, read_json, write_json
 from .ltlf import parse_formula
 from .pomdp import (
     LOAD_ATOL, LabeledPomdp, ModelError, RolloutCache, Trajectory, _typed, model_from_dict,
@@ -140,8 +140,7 @@ def product_from_dict(doc: dict) -> ProductPomdp:
         if fieldname not in prov:
             raise ModelError(f"product provenance missing field {fieldname!r}")
     pairs = prov["pairs"]
-    if not (isinstance(pairs, list) and all(
-            isinstance(p, list) and len(p) == 2 and all(type(i) is int for i in p) for p in pairs)):
+    if not (json_list(pairs, (list,)) and all(len(p) == 2 and json_list(p, (int,)) for p in pairs)):
         raise ModelError("provenance pairs must be a list of [s, q] integer pairs")
     view = model_from_dict({k: v for k, v in doc.items() if k not in ("final_reward", "provenance")})
     base = model_from_dict(prov["base_model"])

@@ -332,6 +332,10 @@ MALFORMED_POLICIES = {
                             "alphas": _vectors(n)},
     "gamma_true": lambda n: {"kind": "stationary", "n_states": n, "gamma": True,
                              "alphas": _vectors(n)},
+    "values_strings": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9,
+                                 "alphas": [{"action": 0, "values": ["1.5"] + ["2"] * (n - 1)}]},
+    "values_bools": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9,
+                               "alphas": [{"action": 0, "values": [True] + [False] * (n - 1)}]},
 }
 
 
@@ -342,7 +346,7 @@ MALFORMED_WEIGHTS = {"weights_nan": [float("nan"), 1.0], "weights_inf": [float("
 
 @pytest.mark.parametrize("command", ["evaluate", "trace"])
 @pytest.mark.parametrize("case", sorted(MALFORMED_POLICIES) + sorted(MALFORMED_WEIGHTS)
-                         + ["weights_sum_1.1", "second_member_wrong_states"])
+                         + ["weights_sum_1.1", "second_member_wrong_states", "policies_string"])
 def test_malformed_policy_files_exit_3(tmp_path, model_file, command, case):
     n = 4
     good = {"kind": "stationary", "n_states": n, "gamma": 0.9, "alphas": _vectors(n)}
@@ -354,6 +358,10 @@ def test_malformed_policy_files_exit_3(tmp_path, model_file, command, case):
     elif case == "second_member_wrong_states":
         (tmp_path / "bad.json").write_text(json.dumps(MALFORMED_POLICIES["wrong_state_count"](n)))
         doc = {"weights": [0.5, 0.5], "policies": ["good.json", "bad.json"]}
+    elif case == "policies_string":  # not read as the files "a" and "b"
+        for name in "ab":
+            (tmp_path / name).write_text(json.dumps(good))
+        doc = {"weights": [0.5, 0.5], "policies": "ab"}
     else:
         doc = MALFORMED_POLICIES[case](n)
     path = tmp_path / "policy.json"
@@ -425,6 +433,33 @@ def test_model_file_that_is_not_json_exits_3(tmp_path, capsys):
 def test_missing_model_file(tmp_path):
     assert run("product", "--model", "nope.json", "--spec", "F a",
                "--out", str(tmp_path / "p")) == 3
+
+
+@pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file", "spec_file_is_a_directory",
+                                  "spec_file_not_utf8", "model_not_utf8", "policy_is_a_directory",
+                                  "policy_not_utf8"])
+def test_unusable_user_paths_exit_3(tmp_path, model_file, capsys, case):
+    """An --out that cannot be made a directory, and an input file that is a
+    directory or not UTF-8, are input errors naming the path."""
+    a_file = tmp_path / "a_file"
+    a_file.write_text("F g\n")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "caf\xe9"}\n')
+    spec, out = ["--spec", "F g"], ["--out", str(tmp_path / "out")]
+    argv, named = {
+        "out_is_a_file": (["compile", *spec, "--out", str(a_file)], a_file),
+        "out_under_a_file": (["compile", *spec, "--out", str(a_file / "c")], a_file / "c"),
+        "spec_file_is_a_directory": (["compile", "--spec-file", str(tmp_path), *out], tmp_path),
+        "spec_file_not_utf8": (["compile", "--spec-file", str(latin1), *out], latin1),
+        "model_not_utf8": (["product", "--model", str(latin1), *spec, *out], latin1),
+        "policy_is_a_directory": (["evaluate", "--model", model_file, *spec,
+                                   "--policy", str(tmp_path)], tmp_path),
+        "policy_not_utf8": (["evaluate", "--model", model_file, *spec,
+                             "--policy", str(latin1)], latin1),
+    }[case]
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(named) in err
 
 
 def test_usage_error_exit_code():

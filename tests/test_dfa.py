@@ -317,6 +317,13 @@ def test_dfa_dict_validation():
     for value in (2.0, "2", True, None):
         with pytest.raises(LtlfError, match="n_states must be a JSON integer"):
             dfa_from_dict({**good, "n_states": value})
+    # atoms, annotations and name are refused, not coerced
+    assert dfa_from_dict({**good, "annotations": None, "name": "F a"}).name == "F a"
+    for field, value in [("atoms", "a"), ("atoms", ["a", 1]), ("annotations", "xy"),
+                         ("annotations", ["x", 2]), ("annotations", [None, "y"]),
+                         ("name", 7), ("name", None), ("name", ["F a"])]:
+        with pytest.raises(LtlfError, match="strings"):
+            dfa_from_dict({**good, field: value})
 
 
 def test_dfa_dict_needs_one_annotation_per_state():

@@ -1,8 +1,10 @@
 """Source hygiene: every name a library module imports is used in it, every
 import sits at module level, only ``product.py`` constructs a
 ``ProductPomdp``, only ``ltlf.py`` names the atom-name pattern, only
-``files.py`` writes or reads artifact files, and only ``pomdp.py`` imports
-``hashlib``, the seed hash, or builds and positions Philox generators.
+``files.py`` writes or reads artifact files, only ``pomdp.py`` imports
+``hashlib``, the seed hash, or builds and positions Philox generators, and
+outside ``pomdp.py`` only ``planner.rollouts`` draws rollout heads and
+mixture picks.
 
 ``__init__.py`` is exempt from the import check: its imports are the package's
 re-exports.
@@ -195,3 +197,38 @@ def test_the_check_sees_stream_addressing():
                      "rng.bit_generator.state = s\nnp.random.default_rng(1)\n"
                      "x = rng.bit_generator.state\nself._rng.bit_generator.state = s\n")
     assert sorted(stream_addressing(tree)) == [2, 3, 6]
+
+
+def stream_reads(tree, home=None):
+    """Lines that name ``.draw`` (``RolloutCache.draw``) or read
+    ``_SELECT_STREAM`` (by name, attribute or import), outside the body of
+    the function named ``home``."""
+    inside = {id(node) for scope in ast.walk(tree)
+              if isinstance(scope, ast.FunctionDef) and scope.name == home
+              for node in ast.walk(scope)}
+    for node in ast.walk(tree):
+        if id(node) not in inside and (
+                isinstance(node, ast.Attribute) and node.attr in ("draw", "_SELECT_STREAM")
+                or isinstance(node, ast.Name) and node.id == "_SELECT_STREAM"
+                and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.alias) and node.name == "_SELECT_STREAM"):
+            yield node.lineno
+
+
+def test_only_rollouts_draws_heads_and_picks():
+    """Bulk head rows and mixture sampling have one home, planner.rollouts:
+    outside pomdp.py no other code calls RolloutCache.draw or reads the
+    selection stream's key."""
+    found = {path.name: lines for path in sorted(SRC.glob("*.py")) if path.name != "pomdp.py"
+             and (lines := sorted(set(stream_reads(
+                 ast.parse(path.read_text()), "rollouts" if path.name == "planner.py" else None))))}
+    assert not found, f"RolloutCache.draw or _SELECT_STREAM used outside planner.rollouts: {found}"
+
+
+def test_the_check_sees_a_stream_read():
+    tree = ast.parse("from .planner import _SELECT_STREAM as key\n_SELECT_STREAM = 7\n"
+                     "def rollouts(cache):\n    return cache.draw(_SELECT_STREAM, 0, 1)\n"
+                     "def other(cache):\n    return cache.draw(planner._SELECT_STREAM, 0, 1)\n"
+                     "head = RolloutCache.draw\n")
+    assert sorted(set(stream_reads(tree, "rollouts"))) == [1, 6, 7]
+    assert sorted(set(stream_reads(tree))) == [1, 4, 6, 7]

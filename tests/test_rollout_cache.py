@@ -2,8 +2,9 @@
 
 Runs through one shared cache equal fresh runs (each with its own cache) and
 the reference simulator in ``helpers`` field by field; the cache's positioned
-draws reproduce the pinned Philox streams; and rollout i of an evaluation is
-the lone ``rollout(policy, prod, seed, i)`` whatever the evaluation's size.
+draws reproduce the pinned Philox streams; and rollout i of an evaluation,
+which ``planner.rollouts`` yields, is the lone ``sample_trajectory(prod, pure,
+seed, i=i)`` of the pure policy it picked, whatever the evaluation's size.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ import ltlfplan.product
 from ltlfplan import pomdp
 from ltlfplan.benchmarks import make_model, make_spec, twostate_constrained
 from ltlfplan.pbvi import AlphaPolicy, SolverConfig, solve_discounted, solve_finite_horizon
-from ltlfplan.planner import MixedPolicy, mc_evaluate, rollout, scalarize
+from ltlfplan.planner import MixedPolicy, mc_evaluate, scalarize
 from ltlfplan.pomdp import (
     _CHUNK, LabeledPomdp, RandomPolicy, RolloutCache, StoppingModel, derive_seed, make_rng,
     sample_trajectory,
@@ -300,8 +301,8 @@ def same_run(a, b) -> bool:
 
 @pytest.mark.parametrize("kind", ["pure", "mixture"])
 def test_a_lone_rollout_is_rollout_i_of_an_evaluation(m7, recorded, kind):
-    """At the edges of mc_evaluate's 256-rollout windows and at n - 1, on M7,
-    where most runs read past their 64-uniform head."""
+    """At the edges of the 256-rollout windows of ``rollouts`` and at n - 1,
+    on M7, where most runs read past their 64-uniform head."""
     prod, policies = m7
     policy = policies[0] if kind == "pure" else MixedPolicy(policies, [0.5, 0.3, 0.2])
     n = 300
@@ -310,10 +311,8 @@ def test_a_lone_rollout_is_rollout_i_of_an_evaluation(m7, recorded, kind):
     assert len(inside) == n
     assert sum(len(traj) >= 22 for _, traj in inside) > n // 2  # 3 uniforms a step past s0, o0
     for i in (0, 255, 256, 257, n - 1):
-        recorded.clear()
-        lone = rollout(policy, prod, 41, i)
-        (picked, run), = recorded
-        assert picked is inside[i][0] and same_run(lone, inside[i][1]) and same_run(run, lone), i
+        picked, run = inside[i]
+        assert same_run(sample_trajectory(prod, picked, 41, i=i), run), i
 
 
 def test_evaluations_of_different_sizes_share_their_runs(m7, recorded):
