@@ -268,13 +268,13 @@ def expand_stage_beliefs(prod, T: int, cfg: SolverConfig) -> list[np.ndarray]:
 @dataclass(frozen=True)
 class _BackupPlan:
     """What every point backup at one belief set reuses; built once per solve
-    (once per stage for the finite horizon)."""
+    (once per stage for the finite horizon, whose stages share one P_T)."""
     beliefs: np.ndarray  # (nb, X)
     P_T: np.ndarray      # (A, X, X): P_T[a, y, x] = P[x, a, y]
     obs: list            # (support, z, live, weighted) per observation with any support
 
 
-def _backup_plan(prod, beliefs) -> _BackupPlan:
+def _backup_plan(prod, beliefs, P_T: np.ndarray | None = None) -> _BackupPlan:
     """Lay out the predictions pred_a(b) = b P_a once.  Per observation o,
     ``support`` holds the states y with Z[y, o] > 0, ``z`` is Z there,
     ``live`` the rows b*A + a whose weighted prediction pred_a(b)[y] Z[y, o]
@@ -291,7 +291,9 @@ def _backup_plan(prod, beliefs) -> _BackupPlan:
             weighted = pred[:, support] * z
             live = np.nonzero(weighted.any(axis=1))[0]
             obs.append((support, z, live, np.asfortranarray(weighted[live])))
-    return _BackupPlan(beliefs, np.ascontiguousarray(prod.P.transpose(1, 2, 0)), obs)
+    if P_T is None:
+        P_T = np.ascontiguousarray(prod.P.transpose(1, 2, 0))
+    return _BackupPlan(beliefs, P_T, obs)
 
 
 def _point_backup(plan: _BackupPlan, reward, gamma, mat):
@@ -399,9 +401,10 @@ def solve_finite_horizon(prod, reward, T: int, cfg: SolverConfig,
     policy = [None] * (T + 1)
     policy[T] = AlphaPolicy(np.stack([reward[:, a] + prod.P[:, a, :] @ terminal for a in range(A)]),
                             np.arange(A))
+    plan = None
     for t in range(T - 1, -1, -1):
-        new_mat, new_acts = _point_backup(_backup_plan(prod, stages[t]), reward, 1.0,
-                                          policy[t + 1].alphas)
+        plan = _backup_plan(prod, stages[t], None if plan is None else plan.P_T)
+        new_mat, new_acts = _point_backup(plan, reward, 1.0, policy[t + 1].alphas)
         mat, acts, _ = _winners(stages[t], new_mat, new_acts)
         policy[t] = AlphaPolicy(mat, acts)
     return TimeIndexedPolicy(policy)

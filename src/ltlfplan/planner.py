@@ -227,14 +227,24 @@ def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
     """Estimate cumulative step reward and satisfaction probability from
     ``rollouts(policy, prod, seed, n)``, so rollout i is the same in every
     evaluation of more than i rollouts.  A run's total is numpy's pairwise
-    ``rewards.sum()``, whose rounding the estimates keep."""
+    ``rewards.sum()``, whose rounding the estimates keep.  The runs of each
+    window of ``_WINDOW`` are summed by length, one ``sum(axis=1)`` over the
+    C-contiguous rows of each length, and numpy reduces each such row exactly
+    as the row alone.  Runs are read as lists: no trajectory array is built."""
     if n < 1:
         raise ValueError("need at least one rollout")
     totals, finals = np.empty(n), np.empty(n)
     accepts = prod.accepts_at_stop.tolist()
+    window = {}  # run length -> (rollout indices, reward lists) since the last flush
     for i, traj in enumerate(rollouts(policy, prod, seed, n)):
-        totals[i] = traj.rewards.sum()
-        finals[i] = accepts[traj.states[-1]]
+        finals[i] = accepts[traj.state_list[-1]]
+        index, rows = window.setdefault(len(traj), ([], []))
+        index.append(i)
+        rows.append(traj.reward_list)
+        if (i + 1) % _WINDOW == 0 or i + 1 == n:
+            for index, rows in window.values():
+                totals[index] = np.array(rows).sum(axis=1)
+            window.clear()
     r_se, p_se = (float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0 for x in (totals, finals))
     return EvalResult(float(totals.mean()), float(finals.mean()), r_se, p_se, n)
 

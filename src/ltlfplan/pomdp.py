@@ -203,24 +203,35 @@ def initial_beliefs(model) -> list[tuple[float, int, np.ndarray]]:
 # Trajectories
 # --------------------------------------------------------------------------
 
-@dataclass
+def _array_of(name: str, dtype) -> cached_property:
+    """A run's per-step list ``name`` as an array of ``dtype``, built on first read."""
+    return cached_property(lambda run: np.array(getattr(run, name), dtype=dtype))
+
+
 class Trajectory:
     """One run of any model: aligned (state, action, observation, reward)
-    per t = 0..T, states indexing the model's own state list."""
-    states: np.ndarray
-    actions: np.ndarray
-    observations: np.ndarray
-    rewards: np.ndarray
+    per t = 0..T, states indexing the model's own state list.  A run keeps the
+    per-step lists it was recorded as (``state_list`` .. ``reward_list``) and
+    builds each array only when it is first read."""
+
+    def __init__(self, states, actions, observations, rewards):
+        self.state_list, self.action_list = states, actions
+        self.observation_list, self.reward_list = observations, rewards
+
+    states = _array_of("state_list", np.int64)
+    actions = _array_of("action_list", np.int64)
+    observations = _array_of("observation_list", np.int64)
+    rewards = _array_of("reward_list", np.float64)
 
     @property
     def horizon(self) -> int:
-        return len(self.states) - 1
+        return len(self.state_list) - 1
 
     def total_reward(self) -> float:
         return float(self.rewards.sum())
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.state_list)
 
 
 class FixedActionPolicy:
@@ -432,7 +443,8 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
     line i + 1 of the same key (``cache.tail``), 64 doubles at a time.  Each
     uniform picks with ``_pick`` on the model's ``sampling`` tables.  Beliefs,
     stationary actions and the generator come from ``cache``, a fresh one
-    when None; the run is the same with any cache.
+    when None; the run is the same with any cache.  The run keeps the step
+    loop's lists, and past its head row the loop calls numpy only for the tail.
     """
     if cache is None:
         cache = RolloutCache()
@@ -488,8 +500,7 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
             nxt = successors[b].get(a * n_obs + o)
             b = cache.add_successor(b, a, o) if nxt is None else nxt
         t += 1
-    sao = np.array((states, actions, observations), dtype=np.int64)
-    return Trajectory(sao[0], sao[1], sao[2], np.array(rewards, dtype=np.float64))
+    return Trajectory(states, actions, observations, rewards)
 
 
 # --------------------------------------------------------------------------
@@ -544,6 +555,7 @@ def model_from_dict(doc: dict) -> LabeledPomdp:
                       "transitions", "observe", "stopping"):
         if fieldname not in doc:
             raise ModelError(f"model document missing field {fieldname!r}")
+    model_name = _typed(doc["name"], str, "name")
     states = _names(doc["states"], "states")
     actions = _names(doc["actions"], "actions")
     observations = _names(doc["observations"], "observations")
@@ -603,7 +615,7 @@ def model_from_dict(doc: dict) -> LabeledPomdp:
     else:
         stopping = StoppingModel.geometric(_prob(stop_doc["gamma"], "stopping"))
 
-    return LabeledPomdp(doc["name"], states, actions, observations, P, Z, varpi,
+    return LabeledPomdp(model_name, states, actions, observations, P, Z, varpi,
                         atoms, labels, rewards, stopping, atol=LOAD_ATOL)
 
 

@@ -68,7 +68,7 @@ class ProductPomdp(LabeledPomdp):
 
     def final_satisfied(self, traj: Trajectory) -> bool:
         """Whether a run on this product satisfies the spec."""
-        return bool(self.accepts_at_stop[traj.states[-1]])
+        return bool(self.accepts_at_stop[traj.state_list[-1]])
 
     def simulate(self, policy, seed: int, cache: RolloutCache | None = None, i: int = 0,
                  head: list[float] | None = None) -> Trajectory:

@@ -406,6 +406,7 @@ MALFORMED_MODELS = {
     "stopping_kind_list": (_set(["stopping"], {"kind": ["fixed"], "T": 3}),
                            "unknown kind ['fixed'] in stopping"),
     "probability_true": (_set(["initial", "home"], True), "bad number True in initial"),
+    "name_number": (_set(["name"], 7), "name must be a string, got int"),
 }
 
 

@@ -2,9 +2,10 @@
 import sits at module level, only ``product.py`` constructs a
 ``ProductPomdp``, only ``ltlf.py`` names the atom-name pattern, only
 ``files.py`` writes or reads artifact files, only ``pomdp.py`` imports
-``hashlib``, the seed hash, or builds and positions Philox generators, and
+``hashlib``, the seed hash, or builds and positions Philox generators,
 outside ``pomdp.py`` only ``planner.rollouts`` draws rollout heads and
-mixture picks.
+mixture picks, and the body of ``pomdp.sample_trajectory`` names no ``np.``
+attribute.
 
 ``__init__.py`` is exempt from the import check: its imports are the package's
 re-exports.
@@ -232,3 +233,30 @@ def test_the_check_sees_a_stream_read():
                      "head = RolloutCache.draw\n")
     assert sorted(set(stream_reads(tree, "rollouts"))) == [1, 6, 7]
     assert sorted(set(stream_reads(tree))) == [1, 4, 6, 7]
+
+
+def numpy_attributes(tree, function):
+    """Lines in the body of the function named ``function`` that name an
+    attribute of ``np`` (a call such as ``np.array`` or a name such as ``np.int64``)."""
+    for scope in ast.walk(tree):
+        if isinstance(scope, ast.FunctionDef) and scope.name == function:
+            for node in (node for stmt in scope.body for node in ast.walk(stmt)):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                        and node.value.id == "np":
+                    yield node.lineno
+
+
+def test_the_simulator_step_path_names_no_numpy():
+    """pomdp.sample_trajectory records plain lists and returns them; a
+    Trajectory builds its arrays only when they are read."""
+    found = sorted(set(numpy_attributes(ast.parse((SRC / "pomdp.py").read_text()),
+                                        "sample_trajectory")))
+    assert not found, f"pomdp.sample_trajectory names an np. attribute at lines {found}"
+
+
+def test_the_check_sees_a_numpy_attribute():
+    tree = ast.parse("import numpy as np\n\ndef sample_trajectory(m, x: np.ndarray):\n"
+                     "    rows = [m.random()]\n    return np.array(rows, dtype=np.int64)\n\n"
+                     "def other():\n    return np.zeros(3)\n")
+    assert sorted(set(numpy_attributes(tree, "sample_trajectory"))) == [5]
+    assert sorted(set(numpy_attributes(tree, "other"))) == [8]

@@ -375,6 +375,23 @@ def test_finite_horizon_solver_matches_oracle_small():
         assert start_value(policy, prod) == pytest.approx(oracle, abs=1e-9)
 
 
+def test_finite_horizon_stages_share_one_transposed_p(monkeypatch):
+    """solve_finite_horizon lays out P_T once per solve, not once per stage."""
+    model = random_tiny_model(4, n_states=3, horizon=4)
+    prod = product_of(model, "F a")
+    plans = []
+    make_plan = pbvi._backup_plan
+
+    def recording(*args):
+        plans.append(make_plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(pbvi, "_backup_plan", recording)
+    solve_finite_horizon(prod, prod.rewards, 4, SolverConfig(exhaustive=True))
+    assert len(plans) == 4 and all(plan.P_T is plans[0].P_T for plan in plans)
+    assert np.array_equal(plans[0].P_T, prod.P.transpose(1, 2, 0))
+
+
 def test_oracle_guards_large_trees(monkeypatch):
     model = uninformative_two_state()
     prod = trivial_product(model)

@@ -171,6 +171,18 @@ def test_mc_deterministic_single_run_exact():
     assert est.p_hat == 1.0
 
 
+def test_row_sums_are_the_rows_own_sums():
+    """mc_evaluate sums runs of one length as the rows of one array; numpy must
+    reduce each row of a C-contiguous float64 array as it reduces the row
+    alone, or r_hat moves by an ulp.  Pinned bit for bit at lengths 1-300."""
+    rng = np.random.default_rng(8)
+    for length in range(1, 301):
+        rows = (rng.standard_normal((5, length)) * 10.0 ** rng.integers(-3, 4, (5, length))).tolist()
+        got = np.array(rows).sum(axis=1)
+        want = [np.add.reduce(np.array(row, dtype=np.float64)) for row in rows]
+        assert got.tolist() == [float(x) for x in want], length
+
+
 def test_mixture_linearity():
     model, spec = twostate_constrained(0.5)
     prod = product_for(model, spec)

@@ -95,6 +95,12 @@ def test_load_rejects_dangling_references():
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize("name", [7, ["x"], None])
+def test_load_refuses_a_name_that_is_not_a_string(name):
+    with pytest.raises(ModelError, match=f"name must be a string, got {type(name).__name__}"):
+        model_from_dict(two_state_doc(name=name))
+
+
 def test_load_rejects_missing_transition_row():
     doc = two_state_doc()
     doc["transitions"] = doc["transitions"][:1]
@@ -212,6 +218,22 @@ def test_deterministic_chain_unique_run():
     assert traj.states.tolist() == [0, 1, 2]
     assert traj.total_reward() == pytest.approx(1.0 + 0.25 + 7.0)
     assert traj.rewards.tolist() == [1.0, 0.25, 7.0]
+
+
+def test_trajectory_arrays_are_its_lists():
+    """A run keeps its step lists; each array, built on first read, has the
+    dtype and values of the list, and the total is the array's pairwise sum."""
+    m = make_model("M1")
+    traj = sample_trajectory(m, RandomPolicy(m.n_actions, seed=3), seed=77)
+    assert len(traj) > 1 and not any(isinstance(v, np.ndarray) for v in vars(traj).values())
+    for field, dtype in (("states", np.int64), ("actions", np.int64),
+                         ("observations", np.int64), ("rewards", np.float64)):
+        steps = getattr(traj, field[:-1] + "_list")
+        arr = getattr(traj, field)
+        assert arr.dtype == dtype and arr.shape == (len(traj),) and arr.tolist() == steps
+        assert getattr(traj, field) is arr  # built once
+    assert traj.total_reward() == float(np.array(traj.reward_list, dtype=np.float64).sum())
+    assert traj.horizon == len(traj) - 1 == len(traj.state_list) - 1
 
 
 def test_seed_determinism_bit_identical():

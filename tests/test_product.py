@@ -178,9 +178,10 @@ def test_simulate_is_a_plain_pomdp_run(m1_product):
     _, _, prod = m1_product
     got = prod.simulate(RandomPolicy(prod.n_actions, seed=9), seed=derive_seed(10))
     want = sample_trajectory(prod, RandomPolicy(prod.n_actions, seed=9), seed=derive_seed(10))
-    assert vars(got).keys() == vars(want).keys() == {"states", "actions", "observations",
-                                                     "rewards"}
+    assert vars(got).keys() == vars(want).keys() == {"state_list", "action_list",
+                                                     "observation_list", "reward_list"}
     for field in ("states", "actions", "observations", "rewards"):
+        assert getattr(got, field[:-1] + "_list") == getattr(want, field[:-1] + "_list")
         assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
@@ -322,6 +323,8 @@ MALFORMED_PRODUCTS = {
     "edited_transition": _edit_transition,
     "edited_final_reward": _flip_final_reward,
     "missing_final_reward": lambda doc: doc.pop("final_reward"),
+    "name_number": lambda doc: doc.update(name=7),
+    "base_name_null": lambda doc: doc["provenance"]["base_model"].update(name=None),
     "invalid_json": None,  # the document's text cut short
 }
 

@@ -315,6 +315,22 @@ def test_a_lone_rollout_is_rollout_i_of_an_evaluation(m7, recorded, kind):
         assert same_run(sample_trajectory(prod, picked, 41, i=i), run), i
 
 
+@pytest.mark.parametrize("kind", ["pure", "mixture"])
+def test_mc_evaluate_builds_no_trajectory_array(m7, recorded, kind):
+    """Runs are read as lists, and the length-grouped totals are each run's
+    own ``rewards.sum()``: r_hat is their mean, bit for bit."""
+    prod, policies = m7
+    policy = policies[0] if kind == "pure" else MixedPolicy(policies, [0.5, 0.3, 0.2])
+    n = 300
+    est = mc_evaluate(policy, prod, n, seed=43)
+    runs = [traj for _, traj in recorded]
+    assert len(runs) == n and len({len(traj) for traj in runs}) > 20
+    assert not [i for i, traj in enumerate(runs)
+                if any(isinstance(v, np.ndarray) for v in vars(traj).values())]
+    assert est.r_hat == float(np.array([traj.rewards.sum() for traj in runs]).mean())
+    assert est.p_hat == float(np.mean([prod.final_satisfied(traj) for traj in runs]))
+
+
 def test_evaluations_of_different_sizes_share_their_runs(m7, recorded):
     prod, policies = m7
     mixture = MixedPolicy(policies, [0.5, 0.3, 0.2])
