@@ -62,7 +62,6 @@ class AlphaPolicy:
     """
 
     kind = "stationary"
-    needs_belief = True
 
     def __init__(self, alphas, actions, gamma: float | None = None, converged: bool = True,
                  stats: dict | None = None):
@@ -94,7 +93,6 @@ class TimeIndexedPolicy(list):
     acting at time t = 0..horizon."""
 
     kind = "time_indexed"
-    needs_belief = True
 
     def __init__(self, stages, converged: bool = True):
         super().__init__(stages)

@@ -305,63 +305,69 @@ def reduce_support_bfs(r_hats, p_hats, threshold: float, slack: float = 0.0):
 # The main loop
 # --------------------------------------------------------------------------
 
+GAP_SHARE = 0.1  # a converged discounted solve's largest gap(b0), as a share of its value span
+
+
+def solve_at(prod: ProductPomdp, lam: float, delta: float, cfg: SolverConfig, warm=None):
+    """The policy at multiplier ``lam``, its gap at b0 (MDP upper bound minus
+    start value, on the scalarized scale) and the warm state for the next call.
+
+    Fixed stopping: ``solve_finite_horizon``, cold; the warm state is None.
+    Geometric stopping: the first call walks belief space once; each later
+    call backs up at the same beliefs from the previous alphas lowered by
+    |d lam| / gamma, so they stay lower bounds, and starts the MDP upper bound
+    from the previous values raised by as much (capped by ``mdp_q_table``).
+    It is converged only if the Bellman stop fired and the gap is at most
+    GAP_SHARE of the value span (max - min reward) / (1 - gamma).  The warm
+    state is (lam, beliefs, policy, upper-bound state values).
+    """
+    reward, terminal, _ = scalarize(prod, lam, delta)
+    stopping = prod.stopping
+    if stopping.kind != "geometric":
+        policy = solve_finite_horizon(prod, reward, stopping.T, cfg, terminal=terminal)
+        upper = start_bound(mdp_q_table(prod, reward, terminal), prod)
+        return policy, upper - start_value(policy, prod), None
+    gamma = stopping.gamma
+    if warm is None:
+        # looked up on the module, so a patched (e.g. traced) walk is the one called
+        beliefs = pbvi.expand_beliefs_random_walk(prod, cfg, gamma)
+        warm_start = upper_start = None
+    else:
+        prev_lam, beliefs, prev, upper_values = warm
+        shift = abs(lam - prev_lam) / gamma
+        warm_start = (prev.alphas - shift, prev.actions)
+        upper_start = upper_values + shift
+    policy = solve_discounted(prod, reward, gamma, cfg, warm_start=warm_start, beliefs=beliefs)
+    q_table = mdp_q_table(prod, reward, terminal, start=upper_start)
+    gap = start_bound(q_table, prod) - start_value(policy, prod)
+    span = (reward.max() - reward.min()) / (1.0 - gamma)
+    policy.converged = bool(policy.converged and gap <= GAP_SHARE * span)
+    return policy, gap, (lam, beliefs, policy, q_table.max(axis=1))
+
+
 def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None) -> EGResult:
     """Run K exponentiated-gradient iterations and assemble the mixture.
 
-    Inner solves are warm-started from the previous iteration's alpha set,
-    shifted down by the value-change bound |d lam| / gamma so every vector
-    stays a valid lower bound under the new scalarization; the MDP upper
-    bound behind each gap starts from the previous one's values, raised by
-    the same shift so they stay >= V* (``mdp_q_table`` caps them at its
-    cold start).  The belief walk
-    does not read the reward, so discounted solves share one belief set.
-    sup R is bounded from above by mdp_upper_bound at lam = 0, not solved for.
+    Each iteration solves at its multiplier (``solve_at``, handed the previous
+    call's warm state), evaluates the policy by Monte Carlo and updates the
+    multiplier.  sup R is bounded from above by mdp_upper_bound at lam = 0,
+    not solved for.
     """
     cfg = cfg or SolverConfig()
     prod = problem.product
     B, K, delta = problem.B, problem.K, problem.delta
     eta = problem.resolved_eta()
     slack = 2.0 * math.sqrt(2.0 * math.log(2.0) / K)
-    stopping = prod.stopping
     lam = B / 2.0
     records: list[IterationRecord] = []
     policies = []
-    prev = None  # the previous iteration's policy, warm-starting discounted solves
-    prev_lam = None
-    upper_values = None  # the previous iteration's upper-bound state values
-    t_solve = 0.0
-    t_simu = 0.0
-    beliefs = None
-    if stopping.kind == "geometric":
-        tic = time.perf_counter()
-        # looked up on the module, so a patched (e.g. traced) walk is the one called
-        beliefs = pbvi.expand_beliefs_random_walk(prod, cfg, stopping.gamma)
-        t_solve += time.perf_counter() - tic
-
-    def inner_solve(multiplier, warm_start, upper_start):
-        """The multiplier's policy, its gap at b0 (the MDP upper bound minus
-        the policy's start value, both on the scalarized scale) and the state
-        values behind that bound."""
-        reward, terminal, _ = scalarize(prod, multiplier, delta)
-        if stopping.kind == "geometric":
-            policy = solve_discounted(prod, reward, stopping.gamma, cfg, warm_start=warm_start,
-                                      beliefs=beliefs)
-        else:
-            policy = solve_finite_horizon(prod, reward, stopping.T, cfg, terminal=terminal)
-        q_table = mdp_q_table(prod, reward, terminal, start=upper_start)
-        return policy, start_bound(q_table, prod) - start_value(policy, prod), q_table.max(axis=1)
-
+    warm = None
+    t_solve = t_simu = 0.0
     for k in range(1, K + 1):
         if not 0.0 < lam < B:
             raise RuntimeError(f"multiplier left (0, B): {lam}")
-        if prev is not None and stopping.kind == "geometric":
-            shift = abs(lam - prev_lam) / stopping.gamma
-            warm_start = (prev.alphas - shift, prev.actions)
-            upper_start = upper_values + shift
-        else:
-            warm_start = upper_start = None
         tic = time.perf_counter()
-        policy, gap, upper_values = inner_solve(lam, warm_start, upper_start)
+        policy, gap, warm = solve_at(prod, lam, delta, cfg, warm)
         t_solve += time.perf_counter() - tic
         tic = time.perf_counter()
         est = mc_evaluate(policy, prod, problem.simu, derive_seed(problem.base_seed, k))
@@ -369,7 +375,6 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None) -> EG
         records.append(IterationRecord(k, lam, est.p_hat, est.r_hat, est.p_se, est.r_se,
                                        policy.converged, gap))
         policies.append(policy)
-        prev, prev_lam = policy, lam
         lam = eg_update_lambda(lam, est.p_hat, eta, B, delta)
 
     mixture = MixedPolicy(policies, np.full(K, 1.0 / K))

@@ -235,8 +235,7 @@ class Trajectory:
 
 
 class FixedActionPolicy:
-    """Always plays the same action; needs no belief tracking."""
-    needs_belief = False
+    """Always plays the same action."""
 
     def __init__(self, action: int):
         self.action_index = int(action)
@@ -247,7 +246,6 @@ class FixedActionPolicy:
 
 class RandomPolicy:
     """Uniform random actions from an internal counter-based stream."""
-    needs_belief = False
 
     def __init__(self, n_actions: int, seed: int):
         self.n_actions = int(n_actions)
@@ -334,11 +332,11 @@ class RolloutCache:
     Beliefs are interned by their bits and named by ids: one start posterior
     per o0 and one successor per (belief, a, o), so a repeated Bayes step is a
     lookup.  Each interned belief remembers the action every policy of
-    ``kind == "stationary"`` took there; time-indexed and belief-free policies
-    are always asked.  Each cached value is the one the computation it
-    replaces returns, bit for bit, so sharing a cache changes no output.  A
-    rollout that starts on another model, or while the cache holds more than
-    ``CACHE_FLOATS`` belief floats, clears it first.
+    ``kind == "stationary"`` took there; every other policy is asked at each
+    step, at the interned belief.  Each cached value is the one the
+    computation it replaces returns, bit for bit, so sharing a cache changes
+    no output.  A rollout that starts on another model, or while the cache
+    holds more than ``CACHE_FLOATS`` belief floats, clears it first.
 
     Uniforms are addressed by Philox counter under one key (``draw``,
     ``tail``): rollout i of key ``seed`` reads row i of make_rng(seed)'s
@@ -457,8 +455,7 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
     stopping = model.stopping
     geometric = stopping.kind == "geometric"
     stop_prob = 1.0 - stopping.gamma if geometric else None
-    track_belief = getattr(policy, "needs_belief", True)
-    memo = track_belief and getattr(policy, "kind", None) == "stationary"
+    memo = getattr(policy, "kind", None) == "stationary"
 
     successors, known = cache.successors, cache.actions
     n_obs = model.n_observations
@@ -466,7 +463,7 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
     s = _pick(tables.initial, u[0])
     o = _pick(observe[s], u[1])
     k = 2  # index of the next unread uniform
-    b = cache.start(o) if track_belief else None  # the belief's id
+    b = cache.start(o)  # the belief's id
 
     states, actions, observations, rewards = [], [], [], []
     t = 0
@@ -486,7 +483,7 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
             if a is None:
                 a = known[b][policy] = int(policy.action(cache.belief(b), t))
         else:
-            a = int(policy.action(None if b is None else cache.belief(b), t))
+            a = int(policy.action(cache.belief(b), t))
         states.append(s)
         actions.append(a)
         observations.append(o)
@@ -496,9 +493,8 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
         s = _pick(transition[s][a], u[k])
         o = _pick(observe[s], u[k + 1])
         k += 2
-        if track_belief:
-            nxt = successors[b].get(a * n_obs + o)
-            b = cache.add_successor(b, a, o) if nxt is None else nxt
+        nxt = successors[b].get(a * n_obs + o)
+        b = cache.add_successor(b, a, o) if nxt is None else nxt
         t += 1
     return Trajectory(states, actions, observations, rewards)
 

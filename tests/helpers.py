@@ -181,7 +181,6 @@ class ReferenceAlphaAction:
     """An alpha policy's action by np.argmax over the public alpha matrix of
     the stage acting at t (ties to the lowest vector index), without the
     policy's own action method."""
-    needs_belief = True
 
     def __init__(self, policy):
         self.policy = policy
@@ -215,11 +214,10 @@ def reference_sample_trajectory(model, policy, seed, i=0):
     only), the action, the transition and the observation."""
     rng = ReferenceUniforms(seed, i)
     stopping = model.stopping
-    track_belief = getattr(policy, "needs_belief", True)
 
     s = reference_categorical(rng, model.varpi)
     o = reference_categorical(rng, model.Z[s])
-    belief = _reference_condition(model, model.varpi, o) if track_belief else None
+    belief = _reference_condition(model, model.varpi, o)
 
     states, actions, observations, rewards = [], [], [], []
     t = 0
@@ -237,8 +235,7 @@ def reference_sample_trajectory(model, policy, seed, i=0):
             break
         s_next = reference_categorical(rng, model.P[s, a])
         o_next = reference_categorical(rng, model.Z[s_next])
-        if track_belief:
-            belief = _reference_condition(model, belief @ model.P[:, a, :], o_next)
+        belief = _reference_condition(model, belief @ model.P[:, a, :], o_next)
         s, o = s_next, o_next
         t += 1
     return Trajectory(

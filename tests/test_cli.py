@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ltlfplan.cli
-from ltlfplan.benchmarks import trajectory_table, twostate_constrained
+from ltlfplan.benchmarks import random_tiny_model, trajectory_table, twostate_constrained
 from ltlfplan.cli import main
 from ltlfplan.pbvi import AlphaPolicy, load_policy, save_policy
 from ltlfplan.planner import auto_eta
@@ -192,6 +192,28 @@ def test_evaluate_and_trace_roundtrip(tmp_path, model_file, capsys):
     assert lines[0] == "t,s,q,a,o,r"
     assert len(lines) >= 2
     assert (tout / "trace.txt").exists()
+
+
+def test_fixed_horizon_solve_evaluate_and_trace(tmp_path, capsys):
+    model_path = tmp_path / "tiny.json"
+    save_model(random_tiny_model(7, n_states=3, n_actions=2, n_obs=2, horizon=3, n_atoms=2),
+               model_path)
+    out = tmp_path / "s"
+    common = ["--model", str(model_path), "--spec", "F a"]
+    assert run("solve", *common, "--threshold", "0.6", "--B", "4", "--K", "2", "--simu", "10",
+               "--n-beliefs", "6", "--out", str(out), "--quiet") == 0
+    mixture = json.loads((out / "mixture.json").read_text())
+    for rel in mixture["policies"]:
+        policy = json.loads((out / rel).read_text())
+        assert policy["kind"] == "time_indexed" and policy["horizon"] == 3
+    capsys.readouterr()
+    assert run("evaluate", *common, "--policy", str(out / "mixture.json"),
+               "--rollouts", "20") == 0
+    assert json.loads(capsys.readouterr().out)["rollouts"] == 20
+    tout = tmp_path / "t"
+    assert run("trace", *common, "--policy", str(out / "mixture.json"), "--out", str(tout),
+               "--quiet") == 0
+    assert len((tout / "trace.csv").read_text().splitlines()) == 1 + 4  # header, t = 0..3
 
 
 def test_trace_replays_rollout_zero_of_evaluate(tmp_path, model_file, monkeypatch):

@@ -4,8 +4,9 @@ import sits at module level, only ``product.py`` constructs a
 ``files.py`` writes or reads artifact files, only ``pomdp.py`` imports
 ``hashlib``, the seed hash, or builds and positions Philox generators,
 outside ``pomdp.py`` only ``planner.rollouts`` draws rollout heads and
-mixture picks, and the body of ``pomdp.sample_trajectory`` names no ``np.``
-attribute.
+mixture picks, the body of ``pomdp.sample_trajectory`` names no ``np.``
+attribute, and the body of ``planner.eg_solve`` names no solver function
+and reads no ``.stopping``.
 
 ``__init__.py`` is exempt from the import check: its imports are the package's
 re-exports.
@@ -235,15 +236,20 @@ def test_the_check_sees_a_stream_read():
     assert sorted(set(stream_reads(tree))) == [1, 4, 6, 7]
 
 
+def body_nodes(tree, function):
+    """Every node in the body of the function named ``function``."""
+    for scope in ast.walk(tree):
+        if isinstance(scope, ast.FunctionDef) and scope.name == function:
+            yield from (node for stmt in scope.body for node in ast.walk(stmt))
+
+
 def numpy_attributes(tree, function):
     """Lines in the body of the function named ``function`` that name an
     attribute of ``np`` (a call such as ``np.array`` or a name such as ``np.int64``)."""
-    for scope in ast.walk(tree):
-        if isinstance(scope, ast.FunctionDef) and scope.name == function:
-            for node in (node for stmt in scope.body for node in ast.walk(stmt)):
-                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                        and node.value.id == "np":
-                    yield node.lineno
+    for node in body_nodes(tree, function):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "np":
+            yield node.lineno
 
 
 def test_the_simulator_step_path_names_no_numpy():
@@ -260,3 +266,36 @@ def test_the_check_sees_a_numpy_attribute():
                      "def other():\n    return np.zeros(3)\n")
     assert sorted(set(numpy_attributes(tree, "sample_trajectory"))) == [5]
     assert sorted(set(numpy_attributes(tree, "other"))) == [8]
+
+
+SOLVER_NAMES = {"solve_discounted", "solve_finite_horizon", "mdp_q_table", "start_bound",
+                "start_value", "expand_beliefs_random_walk"}
+
+
+def solver_reads(tree, function):
+    """Lines in the body of the function named ``function`` that name a
+    solver function of SOLVER_NAMES (bare or as an attribute) or read a
+    ``.stopping`` attribute."""
+    for node in body_nodes(tree, function):
+        if isinstance(node, ast.Name) and node.id in SOLVER_NAMES \
+                or isinstance(node, ast.Attribute) and node.attr in SOLVER_NAMES | {"stopping"}:
+            yield node.lineno
+
+
+def test_eg_solve_makes_one_solver_call():
+    """planner.eg_solve is the paper's loop: solve (planner.solve_at, which
+    holds the stopping rule, the belief walk and the warm starts), evaluate,
+    update the multiplier."""
+    found = sorted(set(solver_reads(ast.parse((SRC / "planner.py").read_text()), "eg_solve")))
+    assert not found, f"planner.eg_solve names a solver function or .stopping at lines {found}"
+
+
+def test_the_check_sees_a_solver_read():
+    tree = ast.parse("def eg_solve(problem, cfg):\n    prod = problem.product\n"
+                     "    if prod.stopping.kind == 'fixed':\n"
+                     "        return solve_finite_horizon(prod, r, 3, cfg)\n"
+                     "    walk = pbvi.expand_beliefs_random_walk\n"
+                     "    return solve_at(prod, 1.0, 0.1, cfg), start_value\n\n"
+                     "def solve_at(prod):\n    return mdp_q_table(prod, prod.stopping)\n")
+    assert sorted(set(solver_reads(tree, "eg_solve"))) == [3, 4, 5, 6]
+    assert sorted(set(solver_reads(tree, "solve_at"))) == [9]

@@ -486,6 +486,72 @@ def test_eg_solve_makes_k_solves_over_one_belief_walk(twostate_product, monkeypa
     assert all(kwargs.get("warm_start") is not None for kwargs in solves[1:])
 
 
+def test_m1_seed_2001_solve_is_flagged_unconverged():
+    """The cold M1 solve over expansion seed 2001's belief walk stops on its
+    Bellman residual with gap 0.967 at b0, a fifth of its value span: the
+    policy plays badly (p_hat 0.10 against threshold 0.75), and it is flagged."""
+    prod, preset = build_instance("M1"), PRESETS["M1"]
+    problem = ConstrainedProblem(prod, threshold=preset.threshold, B=preset.B, K=1,
+                                 eta=preset.eta, simu=20)
+    (rec,) = eg_solve(problem, SolverConfig(expansion_seed=2001)).records
+    assert rec.converged is False
+    assert rec.gap == pytest.approx(0.967, abs=5e-4)
+
+
+@pytest.mark.parametrize("seed", [2000, 2001, 2002])
+def test_converged_discounted_solves_are_within_the_gap_share(seed):
+    prod, preset = build_instance("M1"), PRESETS["M1"]
+    problem = ConstrainedProblem(prod, threshold=preset.threshold, B=preset.B, K=2,
+                                 eta=preset.eta, simu=20)
+    result = eg_solve(problem, SolverConfig(expansion_seed=seed))
+    for rec, policy in zip(result.records, result.mixture.policies):
+        reward = scalarize(prod, rec.lam, problem.delta)[0]
+        span = (reward.max() - reward.min()) / (1.0 - prod.stopping.gamma)
+        assert type(rec.converged) is bool and rec.converged is policy.converged
+        assert not rec.converged or rec.gap <= planner.GAP_SHARE * span
+
+
+def tiny_fixed_product(T=3):
+    model = random_tiny_model(7, n_states=3, n_actions=2, n_obs=2, horizon=T, n_atoms=2)
+    return constrained_product(model, "F a")
+
+
+def test_fixed_horizon_eg_solve_iterates_are_cold_finite_horizon_solves():
+    prod = tiny_fixed_product()
+    cfg = SolverConfig(exhaustive=True)
+    problem = ConstrainedProblem(prod, threshold=0.6, B=4.0, K=4, eta=1.0, simu=30, base_seed=2)
+    result = eg_solve(problem, cfg)
+    assert len({rec.lam for rec in result.records}) == problem.K
+    for rec, policy in zip(result.records, result.mixture.policies):
+        reward, terminal, _ = scalarize(prod, rec.lam, problem.delta)
+        cold = solve_finite_horizon(prod, reward, prod.stopping.T, cfg, terminal=terminal)
+        assert policy.kind == "time_indexed" and len(policy) == len(cold)
+        for stage, cold_stage in zip(policy, cold):
+            assert np.array_equal(stage.alphas, cold_stage.alphas)
+            assert np.array_equal(stage.actions, cold_stage.actions)
+        assert rec.converged is True
+        assert rec.gap == mdp_upper_bound(prod, reward, terminal) - start_value(policy, prod)
+
+
+def test_solve_at_hands_on_the_belief_walk_only_under_geometric_stopping(
+        twostate_product, monkeypatch):
+    policy, gap, warm = planner.solve_at(tiny_fixed_product(2), 2.0, 0.4, SolverConfig())
+    assert policy.kind == "time_indexed" and warm is None
+    walks = []
+    walk = pbvi.expand_beliefs_random_walk
+
+    def counting_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(pbvi, "expand_beliefs_random_walk", counting_walk)
+    cfg = SolverConfig(n_beliefs=8, max_backup_rounds=150)
+    first, _, warm = planner.solve_at(twostate_product, 2.0, 0.4, cfg)
+    second, _, _ = planner.solve_at(twostate_product, 1.5, 0.4, cfg, warm)
+    assert len(walks) == 1
+    assert second.stats["beliefs"] is first.stats["beliefs"]
+
+
 def test_records_carry_the_iteration_standard_errors(twostate_product):
     problem = ConstrainedProblem(twostate_product, threshold=0.6, B=4.0, K=3,
                                  eta=1.0, simu=40, base_seed=5)

@@ -276,8 +276,6 @@ def test_fully_observable_belief_tracks_true_state():
     m = fully_observable(P, np.zeros((3, 2)))
 
     class Probe:
-        needs_belief = True
-
         def __init__(self):
             self.ok = True
             self._rng = make_rng(11)
@@ -297,8 +295,6 @@ def test_belief_normalized_along_trajectories():
     m = make_model("M8")
 
     class Probe:
-        needs_belief = True
-
         def __init__(self):
             self.sums = []
             self._rng = make_rng(12)
