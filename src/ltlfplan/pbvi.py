@@ -12,10 +12,12 @@ is laid out once per solve by ``_backup_plan``; a round scores only those
 rows.
 
 The finite-horizon solver does backward induction with per-stage belief sets
-expanded forward from the initial posteriors; with exhaustive expansion it is
-exact at the start beliefs.  ``exact_value_oracle`` enumerates the full
-action/observation history tree instead and is the independent reference for
-tiny instances.
+expanded breadth-first from the initial posteriors: stage t+1 holds every
+distinct Bayes successor of stage t, capped at n_beliefs by a seeded draw.
+A solve none of whose backed-up stages was capped is exact at the start
+beliefs and flagged converged; a capped one is flagged unconverged.
+``exact_value_oracle`` enumerates the full action/observation history tree
+instead and is the independent reference for tiny instances.
 
 ``mdp_upper_bound`` is the matching upper bound at the start beliefs: the
 value of the product MDP, which sees the state, read through b0
@@ -41,7 +43,6 @@ class SolverConfig:
     max_backup_rounds: int = 400
     bellman_tolerance: float = 1e-3
     expansion_seed: int = 0
-    exhaustive: bool = False        # finite horizon: enumerate all reachable beliefs
 
     def __post_init__(self):
         if self.n_beliefs < 1:
@@ -197,19 +198,14 @@ def _add_belief(beliefs: list, b: np.ndarray, gap: float) -> bool:
     return True
 
 
-def _predictive_step(prod, rng, b):
-    predicted = predict(prod, b, int(rng.integers(prod.n_actions)))
-    return condition(prod, predicted, _categorical(rng, predicted @ prod.Z))
-
-
-def expand_beliefs_random_walk(prod, cfg: SolverConfig, gamma: float | None) -> np.ndarray:
+def expand_beliefs_random_walk(prod, cfg: SolverConfig, gamma: float) -> np.ndarray:
     """Seeded random walk through belief space from the initial posteriors.
 
-    Restarts mimic episode ends (probability 1-gamma per step under geometric
-    stopping).  A step's belief is admitted unless it lies within BELIEF_GAP
-    (L1) of one already held.  The walk stops once cfg.n_beliefs are held or
-    after 200 * cfg.n_beliefs steps, whichever comes first; it does not stop
-    when it finds nothing new, so a model with fewer reachable beliefs than
+    Restarts mimic episode ends (probability 1-gamma per step).  A step's
+    belief is admitted unless it lies within BELIEF_GAP (L1) of one already
+    held.  The walk stops once cfg.n_beliefs are held or after
+    200 * cfg.n_beliefs steps, whichever comes first; it does not stop when
+    it finds nothing new, so a model with fewer reachable beliefs than
     n_beliefs always walks the full 200 * n_beliefs steps.
     """
     rng = make_rng(derive_seed(cfg.expansion_seed, 0xB))
@@ -217,46 +213,46 @@ def expand_beliefs_random_walk(prod, cfg: SolverConfig, gamma: float | None) -> 
     beliefs: list[np.ndarray] = []
     for b in seeds:
         _add_belief(beliefs, b, 0.0)
-    restart_prob = (1.0 - gamma) if gamma is not None else 0.0
     b = seeds[0]
     for _ in range(200 * cfg.n_beliefs):
         if len(beliefs) >= cfg.n_beliefs:
             break
-        if restart_prob and rng.random() < restart_prob:
+        if rng.random() < 1.0 - gamma:
             b = seeds[int(rng.integers(len(seeds)))]
             continue
-        b = _predictive_step(prod, rng, b)
+        predicted = predict(prod, b, int(rng.integers(prod.n_actions)))
+        b = condition(prod, predicted, _categorical(rng, predicted @ prod.Z))
         _add_belief(beliefs, b, BELIEF_GAP)
     return np.vstack(beliefs)
 
 
-def expand_stage_beliefs(prod, T: int, cfg: SolverConfig) -> list[np.ndarray]:
-    """Per-stage belief sets for horizons 0..T, expanded forward from b0."""
-    seeds = [b for _, _, b in initial_beliefs(prod)]
-    if cfg.exhaustive:
-        stages = [seeds]
-        for _ in range(T):
-            nxt: list[np.ndarray] = []
-            for b in stages[-1]:
-                for a in range(prod.n_actions):
-                    predicted = predict(prod, b, a)
-                    obs_probs = predicted @ prod.Z
-                    for o in np.nonzero(obs_probs > 0)[0]:
-                        _add_belief(nxt, condition(prod, predicted, o), 1e-12)
-                        if len(nxt) > 20_000:
-                            raise RuntimeError("exhaustive belief expansion too large")
-            stages.append(nxt)
-        return [np.vstack(stage) for stage in stages]
+def expand_stage_beliefs(prod, T: int, cfg: SolverConfig) -> tuple[list[np.ndarray], bool]:
+    """Per-stage belief sets for times 0..T, expanded breadth-first from b0,
+    and whether any stage was capped.
+
+    Stage 0 holds the initial posteriors.  Stage t+1 holds every distinct
+    Bayes successor of stage t, over every action and every observation with
+    mass, in enumeration order and deduplicated by their float64 bits.  A
+    stage with more than cfg.n_beliefs successors keeps a draw of n_beliefs
+    of them, in enumeration order, from the stream of cfg.expansion_seed.
+    """
     rng = make_rng(derive_seed(cfg.expansion_seed, 0xF))
-    stages = [list(seeds)] + [[] for _ in range(T)]
-    for _ in range(100 * cfg.n_beliefs):
-        if all(len(stage) >= cfg.n_beliefs for stage in stages[1:]):
-            break
-        b = seeds[int(rng.integers(len(seeds)))]
-        for t in range(1, T + 1):
-            b = _predictive_step(prod, rng, b)
-            _add_belief(stages[t], b, BELIEF_GAP)
-    return [np.vstack(stage) for stage in stages]
+    stages = [np.vstack([b for _, _, b in initial_beliefs(prod)])]
+    capped = False
+    for _ in range(T):
+        successors: dict[bytes, np.ndarray] = {}
+        for b in stages[-1]:
+            for a in range(prod.n_actions):
+                predicted = predict(prod, b, a)
+                for o in np.nonzero(predicted @ prod.Z > 0)[0]:
+                    post = condition(prod, predicted, o)
+                    successors.setdefault(post.tobytes(), post)
+        stage = np.vstack(list(successors.values()))
+        if len(stage) > cfg.n_beliefs:
+            capped = True
+            stage = stage[np.sort(rng.choice(len(stage), cfg.n_beliefs, replace=False))]
+        stages.append(stage)
+    return stages, capped
 
 
 # --------------------------------------------------------------------------
@@ -387,14 +383,16 @@ def solve_finite_horizon(prod, reward, T: int, cfg: SolverConfig,
     """Backward induction with point-based per-stage belief sets.
 
     Stage-T vectors are reward(.,a) plus the expected terminal channel; the
-    returned policy holds one stage per t = 0..T.
+    returned policy holds one stage per t = 0..T.  Backups run at the belief
+    sets of times 0..T-1 only, so those are the ones expanded, and the policy
+    is flagged converged unless one of them was capped.
     """
     if T < 0:
         raise ValueError("horizon must be >= 0")
     reward = _reward_map(prod, reward)
     X, A = prod.n_states, prod.n_actions
     terminal = np.zeros(X) if terminal is None else np.asarray(terminal, dtype=np.float64)
-    stages = expand_stage_beliefs(prod, T, cfg)
+    stages, capped = expand_stage_beliefs(prod, max(T - 1, 0), cfg)
 
     policy = [None] * (T + 1)
     policy[T] = AlphaPolicy(np.stack([reward[:, a] + prod.P[:, a, :] @ terminal for a in range(A)]),
@@ -405,7 +403,7 @@ def solve_finite_horizon(prod, reward, T: int, cfg: SolverConfig,
         new_mat, new_acts = _point_backup(plan, reward, 1.0, policy[t + 1].alphas)
         mat, acts, _ = _winners(stages[t], new_mat, new_acts)
         policy[t] = AlphaPolicy(mat, acts)
-    return TimeIndexedPolicy(policy)
+    return TimeIndexedPolicy(policy, converged=not capped)
 
 
 def exact_value_oracle(prod, reward, T: int, terminal: np.ndarray | None = None) -> float:

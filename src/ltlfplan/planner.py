@@ -312,7 +312,8 @@ def solve_at(prod: ProductPomdp, lam: float, delta: float, cfg: SolverConfig, wa
     """The policy at multiplier ``lam``, its gap at b0 (MDP upper bound minus
     start value, on the scalarized scale) and the warm state for the next call.
 
-    Fixed stopping: ``solve_finite_horizon``, cold; the warm state is None.
+    Fixed stopping: ``solve_finite_horizon``, cold, and converged unless it
+    capped a stage; the warm state is None.
     Geometric stopping: the first call walks belief space once; each later
     call backs up at the same beliefs from the previous alphas lowered by
     |d lam| / gamma, so they stay lower bounds, and starts the MDP upper bound

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -136,7 +137,7 @@ SOLVER_DIGESTS = {
     "M2": "a838edc2e755dee056a459da69164246d039977140cba65b506a68a3f70eaaf4",
     "M7": "e47f4a111cdfd952cc3b9087352c45b7076e33343cf5b7d0dc2c3d3a57d4fcc2",
     "M9": "da3727b728a71a25a9c4e1737e09a320377e91cbf7cbad52e1f267063a52698f",
-    "finite": "04e821496f37b1333cc6a8a7c0e0c06cc80639d112f9fa525d873347ec80ae1e",
+    "finite": "b1222bf7943ca2c25aec608ac1fcd7b27c601f0c2586d628527e5f748fe3cc13",
 }
 
 
@@ -318,7 +319,8 @@ def test_point_backup_matches_dense_on_pruned_m7():
 def test_horizon_zero_picks_best_immediate_action():
     model = uninformative_two_state(rewards=((1.0, 0.0), (0.0, 2.0)))
     prod = trivial_product(model)
-    policy = solve_finite_horizon(prod, prod.rewards, 0, SolverConfig(exhaustive=True))
+    policy = solve_finite_horizon(prod, prod.rewards, 0, SolverConfig(n_beliefs=1))
+    assert policy.converged is True
     b0 = np.full(2, 0.5)
     # uninformative observation keeps the uniform prior; action 1 averages 1.0
     assert policy.action(b0, 0) == 1
@@ -330,7 +332,8 @@ def test_horizon_zero_picks_best_immediate_action():
 def test_zero_reward_zero_value():
     model = uninformative_two_state(rewards=((0.0, 0.0), (0.0, 0.0)))
     prod = trivial_product(model)
-    policy = solve_finite_horizon(prod, prod.rewards, 2, SolverConfig(exhaustive=True))
+    policy = solve_finite_horizon(prod, prod.rewards, 2, SolverConfig(n_beliefs=1))
+    assert policy.converged is True
     assert start_value(policy, prod) == pytest.approx(0.0)
 
 
@@ -367,10 +370,12 @@ def test_finite_horizon_solver_matches_oracle_small():
     for seed, n_states, T in ((3, 2, 2), (4, 3, 3)):
         model = random_tiny_model(seed, n_states=n_states, horizon=T)
         prod = product_of(model, "F a")
-        cfg = SolverConfig(exhaustive=True)
+        # stage t holds 2 * 4**t beliefs; the solve backs up at stages 0..T-1
+        cfg = SolverConfig(n_beliefs=2 * 4 ** (T - 1))
         lam = 0.7
         terminal = lam * prod.r_final
         policy = solve_finite_horizon(prod, prod.rewards, T, cfg, terminal=terminal)
+        assert policy.converged is True
         oracle = exact_value_oracle(prod, prod.rewards, T, terminal=terminal)
         assert start_value(policy, prod) == pytest.approx(oracle, abs=1e-9)
 
@@ -387,9 +392,27 @@ def test_finite_horizon_stages_share_one_transposed_p(monkeypatch):
         return plans[-1]
 
     monkeypatch.setattr(pbvi, "_backup_plan", recording)
-    solve_finite_horizon(prod, prod.rewards, 4, SolverConfig(exhaustive=True))
+    solve_finite_horizon(prod, prod.rewards, 4, SolverConfig(n_beliefs=512))
     assert len(plans) == 4 and all(plan.P_T is plans[0].P_T for plan in plans)
     assert np.array_equal(plans[0].P_T, prod.P.transpose(1, 2, 0))
+
+
+def test_stage_expansion_enumerates_every_successor_then_caps_in_order():
+    """The 6-state F G a product has 3 * 6**t distinct beliefs at stage t.
+    Uncapped, T = 5 enumerates all 23 328 of the last stage within the bound;
+    capped at 100, each stage keeps 100 of its successors in enumeration
+    order."""
+    model = random_tiny_model(7, n_states=3, n_actions=2, n_obs=3, horizon=5, n_atoms=2)
+    prod = product_of(model, "F G a")
+    tic = time.perf_counter()
+    stages, capped = pbvi.expand_stage_beliefs(prod, 5, SolverConfig(n_beliefs=23_328))
+    assert time.perf_counter() - tic < 10.0
+    assert [len(stage) for stage in stages] == [3, 18, 108, 648, 3888, 23_328] and not capped
+    small, capped = pbvi.expand_stage_beliefs(prod, 5, SolverConfig(n_beliefs=100))
+    assert [len(stage) for stage in small] == [3, 18, 100, 100, 100, 100] and capped
+    rows = {row.tobytes(): i for i, row in enumerate(stages[2])}
+    kept = [rows[row.tobytes()] for row in small[2]]
+    assert kept == sorted(set(kept))
 
 
 def test_oracle_guards_large_trees(monkeypatch):
@@ -557,7 +580,7 @@ def test_policy_file_roundtrip(tmp_path):
 def test_time_indexed_policy_roundtrip():
     model = uninformative_two_state()
     prod = trivial_product(model)
-    policy = solve_finite_horizon(prod, prod.rewards, 2, SolverConfig(exhaustive=True))
+    policy = solve_finite_horizon(prod, prod.rewards, 2, SolverConfig(n_beliefs=1))
     again = policy_from_dict(policy_to_dict(policy))
     b = np.full(prod.n_states, 1.0 / prod.n_states)
     for t in range(3):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 
 from ltlfplan import pbvi, planner
 from ltlfplan.benchmarks import (
-    PRESETS, accepting_sink_instance, build_instance, chain3, random_tiny_model,
-    twostate_constrained,
+    PRESETS, accepting_sink_instance, build_instance, chain3, make_model, make_spec,
+    random_tiny_model, twostate_constrained,
 )
 from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import parse_formula
@@ -24,7 +25,7 @@ from ltlfplan.planner import (
     ConstrainedProblem, MixedPolicy, auto_eta, eg_solve, eg_update_lambda, mc_evaluate,
     reduce_support_bfs, regret_bound, result_to_dict, scalarize,
 )
-from ltlfplan.pomdp import FixedActionPolicy, StoppingModel, derive_seed
+from ltlfplan.pomdp import FixedActionPolicy, LabeledPomdp, StoppingModel, derive_seed
 from ltlfplan.product import build_product, constrained_product
 
 from helpers import deterministic_chain, eval_stationary_product_policy, reference_mc_evaluate
@@ -228,7 +229,7 @@ EVAL_DIGESTS = {
     "twostate_alpha": "02742f7a070ac3ef88fbe1d2959a9ce9cf4f3f5eb38805687a55fffd3b8d060d",
     "twostate_mixture": "c9eadb2a9116651c90a5350e1ced4286f212d51aea6ba0d15284f066f95703fc",
     "m7": "c37ebd70e32059e5abcc54aa7c0330004ea30776d00912ad20cf0f8f4bbc1381",
-    "fixed": "f227fffccfaeccdfecd736ebbff2289ffb19a87d554b69fa5f85b5058a858328",
+    "fixed": "be95278b1bc5cef2c5dc7042998397992194780d2e572be976ac4583f5dc9734",
 }
 
 
@@ -518,7 +519,7 @@ def tiny_fixed_product(T=3):
 
 def test_fixed_horizon_eg_solve_iterates_are_cold_finite_horizon_solves():
     prod = tiny_fixed_product()
-    cfg = SolverConfig(exhaustive=True)
+    cfg = SolverConfig(n_beliefs=128)  # the largest stage, so none is capped
     problem = ConstrainedProblem(prod, threshold=0.6, B=4.0, K=4, eta=1.0, simu=30, base_seed=2)
     result = eg_solve(problem, cfg)
     assert len({rec.lam for rec in result.records}) == problem.K
@@ -531,6 +532,35 @@ def test_fixed_horizon_eg_solve_iterates_are_cold_finite_horizon_solves():
             assert np.array_equal(stage.actions, cold_stage.actions)
         assert rec.converged is True
         assert rec.gap == mdp_upper_bound(prod, reward, terminal) - start_value(policy, prod)
+
+
+def test_preset_scale_fixed_horizon_solves_are_capped_and_flagged(monkeypatch):
+    """M1 stopped at T = 20: four EG iterations finish within the bound, no
+    stage holds more than n_beliefs beliefs, and every capped solve is
+    flagged unconverged."""
+    m = make_model("M1")
+    base = LabeledPomdp(m.name, m.states, m.actions, m.observations, m.P, m.Z, m.varpi,
+                        m.atoms, m.labels, m.rewards, StoppingModel.fixed(20))
+    preset = PRESETS["M1"]
+    prod = constrained_product(base, make_spec(preset.spec))
+    sizes = []
+    expand = pbvi.expand_stage_beliefs
+
+    def recording(*args):
+        stages, capped = expand(*args)
+        sizes.append([len(stage) for stage in stages])
+        return stages, capped
+
+    monkeypatch.setattr(pbvi, "expand_stage_beliefs", recording)
+    cfg = SolverConfig()
+    problem = ConstrainedProblem(prod, threshold=preset.threshold, B=preset.B, K=4,
+                                 eta=preset.eta, simu=preset.simu)
+    tic = time.perf_counter()
+    result = eg_solve(problem, cfg)
+    assert time.perf_counter() - tic < 30.0
+    assert len(sizes) == 4 and max(max(stage) for stage in sizes) == cfg.n_beliefs
+    for rec, policy in zip(result.records, result.mixture.policies):
+        assert rec.converged is False and policy.converged is False
 
 
 def test_solve_at_hands_on_the_belief_walk_only_under_geometric_stopping(
