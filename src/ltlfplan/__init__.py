@@ -15,8 +15,8 @@ from .ltlf import (
     satisfaction_table,
 )
 from .dfa import (
-    Dfa, DfaBudgetError, canonicalize, compile_dfa, compile_minimal_dfa, dfa_accepts,
-    empty_accept, load_dfa, minimize_dfa, progress, save_dfa,
+    Dfa, DfaBudgetError, compile_dfa, compile_minimal_dfa, empty_accept, load_dfa,
+    minimize_dfa, progress, save_dfa,
 )
 from .pomdp import (
     ImpossibleObservationError, LabeledPomdp, ModelError, RolloutCache, StoppingModel,

@@ -19,7 +19,7 @@ Per-step cell rewards are the tabulated values scaled by (1 - ``GAMMA``),
 returns under geometric stopping land on the tabulated scale; without the
 scaling no bounded multiplier could trade reward against constraint
 satisfaction.  Letter-cell positions not fixed by the model descriptions are
-module defaults and can be overridden per call.
+``GRIDS`` entries; a variant grid is ``dataclasses.replace`` of one.
 
 The module also bundles the small verification instances used by the test
 suite (a 3-state chain, a fully observable 2-state constrained MDP, and
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,11 +164,11 @@ GRIDS = {
 MODEL_NAMES = tuple(GRIDS)
 
 
-def make_model(name: str, **overrides) -> LabeledPomdp:
-    """Build one of M1-M9; keyword overrides replace GridSpec fields."""
+def make_model(name: str) -> LabeledPomdp:
+    """Build one of M1-M9; a variant is build_grid_model(replace(GRIDS[name], ...))."""
     if name not in GRIDS:
         raise KeyError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
-    return build_grid_model(replace(GRIDS[name], **overrides))
+    return build_grid_model(GRIDS[name])
 
 
 # --------------------------------------------------------------------------

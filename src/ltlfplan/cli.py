@@ -341,7 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationFailure, LtlfError, ModelError, FileNotFoundError) as exc:
+    except (ValidationFailure, LtlfError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:

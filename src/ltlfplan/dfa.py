@@ -18,7 +18,7 @@ import numpy as np
 from .files import json_list, read_json, write_json
 from .ltlf import (
     FALSE, TRUE, Always, And, Atom, Eventually, FalseConst, Formula, Implies,
-    LtlfError, Next, Not, Or, Release, TrueConst, Until, WeakNext, Word, check_atoms,
+    LtlfError, Next, Not, Or, Release, TrueConst, Until, WeakNext, check_atoms,
     format_formula, formula_atoms,
 )
 
@@ -35,7 +35,7 @@ class DfaBudgetError(RuntimeError):
 
 # --------------------------------------------------------------------------
 # Simplifying constructors (constant folding only; propositional equivalence
-# is the job of canonicalize)
+# is the job of canonical_form)
 # --------------------------------------------------------------------------
 
 def f_not(f: Formula) -> Formula:
@@ -210,11 +210,6 @@ def canonical_form(formula: Formula) -> tuple[tuple, Formula]:
     return key, _synthesize(variables, table)
 
 
-def canonicalize(formula: Formula) -> tuple:
-    """Hashable canonical key; equal for propositionally equivalent formulas."""
-    return canonical_form(formula)[0]
-
-
 def _synthesize(variables: list[Formula], table: np.ndarray) -> Formula:
     if not variables:
         return TRUE if table[0] else FALSE
@@ -293,13 +288,6 @@ class Dfa:
         mask = np.zeros(self.n_states, dtype=bool)
         mask[list(self.accepting)] = True
         return mask
-
-
-def dfa_accepts(dfa: Dfa, word: Word) -> bool:
-    """Run the word through the automaton; length 0 asks whether q0 accepts."""
-    if word.atoms != dfa.atoms and len(word.atoms) > 0:
-        raise LtlfError(f"word atoms {word.atoms} do not match DFA atoms {dfa.atoms}")
-    return dfa.run(word.letters) in dfa.accepting
 
 
 def _bfs(succ, start: int) -> list[int]:

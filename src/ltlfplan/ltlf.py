@@ -206,9 +206,6 @@ class Word:
     def letter_set(self, i: int) -> frozenset[str]:
         return frozenset(a for j, a in enumerate(self.atoms) if self.letters[i] >> j & 1)
 
-    def suffix(self, i: int) -> "Word":
-        return Word(self.atoms, self.letters[i:])
-
     def __eq__(self, other):
         return isinstance(other, Word) and self.atoms == other.atoms and self.letters == other.letters
 

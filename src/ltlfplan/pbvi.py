@@ -1,12 +1,13 @@
 """Point-based value iteration over product-POMDP beliefs.
 
-The discounted solver runs lower-bound PBVI: a belief set is grown by a
-seeded random walk, every belief's value starts at the uniform floor
-min(reward)/(1-gamma), and each round performs the standard point-based
-backup at every belief.  Alpha sets are unions of previous vectors and fresh
-backups pruned to the winners at the belief points, so point values are
-nondecreasing round over round and every vector stays a valid lower bound on
-some executable policy's value.  The work that depends only on the belief
+The discounted solver runs lower-bound PBVI at the belief set it is handed
+(``planner.solve_at`` grows one per multiplier loop by the seeded random
+walk ``expand_beliefs_random_walk``): every belief's value starts at the
+uniform floor min(reward)/(1-gamma), and each round performs the standard
+point-based backup at every belief.  Alpha sets are unions of previous
+vectors and fresh backups pruned to the winners at the belief points, so
+point values are nondecreasing round over round and every vector stays a
+valid lower bound on some executable policy's value.  The work that depends only on the belief
 set (predictions, and per observation the (belief, action) rows with mass)
 is laid out once per solve by ``_backup_plan``; a round scores only those
 rows.
@@ -64,8 +65,7 @@ class AlphaPolicy:
 
     kind = "stationary"
 
-    def __init__(self, alphas, actions, gamma: float | None = None, converged: bool = True,
-                 stats: dict | None = None):
+    def __init__(self, alphas, actions, converged: bool = True, stats: dict | None = None):
         self.alphas = np.asarray(alphas, dtype=np.float64)
         self.actions = np.asarray(actions, dtype=np.int64)
         if self.alphas.ndim != 2 or len(self.alphas) == 0:
@@ -75,7 +75,6 @@ class AlphaPolicy:
         if not np.all(np.isfinite(self.alphas)):
             raise ValueError("alpha vector has non-finite entries")
         self.n_states = self.alphas.shape[1]
-        self.gamma = gamma
         self.converged = bool(converged)
         self.stats = stats or {}
 
@@ -338,23 +337,19 @@ def _winners(beliefs, mat, acts):
     return mat[keep], acts[keep], vals[np.arange(len(beliefs)), winners]
 
 
-def solve_discounted(prod, reward, gamma: float, cfg: SolverConfig,
-                     warm_start: tuple[np.ndarray, np.ndarray] | None = None,
-                     beliefs: np.ndarray | None = None) -> AlphaPolicy:
-    """Discounted-infinite-horizon PBVI; returns a stationary alpha policy.
+def solve_discounted(prod, reward, gamma: float, cfg: SolverConfig, beliefs: np.ndarray,
+                     warm_start: tuple[np.ndarray, np.ndarray] | None = None) -> AlphaPolicy:
+    """Discounted-infinite-horizon PBVI at the (nb, X) belief set
+    ``beliefs``; returns a stationary alpha policy.
 
     On hitting the round budget before the tolerance, returns the
     best-so-far policy flagged converged=False rather than raising.
     ``warm_start`` may carry (matrix, actions) of valid lower-bound vectors
     from a related solve; the uniform floor vector is always included.
-    ``beliefs`` is the belief set to back up at; by default the solve
-    expands its own with expand_beliefs_random_walk(prod, cfg, gamma).
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("discounted solver needs 0 < gamma < 1")
     reward = _reward_map(prod, reward)
-    if beliefs is None:
-        beliefs = expand_beliefs_random_walk(prod, cfg, gamma)
     floor = reward.min() / (1.0 - gamma)
     mat = np.full((1, prod.n_states), floor)
     acts = np.zeros(1, dtype=np.int64)
@@ -374,8 +369,7 @@ def solve_discounted(prod, reward, gamma: float, cfg: SolverConfig,
         if delta < cfg.bellman_tolerance:
             converged = True
             break
-    return AlphaPolicy(mat, acts, gamma=gamma, converged=converged,
-                       stats={"rounds": rounds, "beliefs": beliefs})
+    return AlphaPolicy(mat, acts, converged=converged, stats={"rounds": rounds, "beliefs": beliefs})
 
 
 def solve_finite_horizon(prod, reward, T: int, cfg: SolverConfig,
@@ -451,14 +445,6 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def _gamma(value):
-    """A policy file's gamma: null, or a JSON number (not a bool) in (0, 1);
-    else ValueError."""
-    if value is not None and (type(value) not in (int, float) or not 0.0 < value < 1.0):
-        raise ValueError(f"gamma must be null or a number in (0, 1), got {value!r}")
-    return value
-
-
 def _vectors_from_list(vectors: list, **kwargs) -> AlphaPolicy:
     values = [v["values"] for v in vectors]
     if not all(json_list(row, (int, float)) for row in values):
@@ -471,7 +457,6 @@ def _vectors_from_list(vectors: list, **kwargs) -> AlphaPolicy:
 def policy_to_dict(policy) -> dict:
     doc = {"kind": policy.kind, "n_states": policy.n_states, "converged": policy.converged}
     if policy.kind == "stationary":
-        doc["gamma"] = policy.gamma
         doc["alphas"] = _vectors_to_list(policy)
     else:
         doc["horizon"] = policy.horizon
@@ -487,8 +472,7 @@ def policy_from_dict(doc: dict):
         raise ValueError(f"converged must be true or false, got {converged!r}")
     n_states = _integer(doc["n_states"], "n_states")
     if kind == "stationary":
-        policy = _vectors_from_list(doc["alphas"], gamma=_gamma(doc.get("gamma")),
-                                    converged=converged)
+        policy = _vectors_from_list(doc["alphas"], converged=converged)
     elif kind == "time_indexed":
         policy = TimeIndexedPolicy([_vectors_from_list(stage) for stage in doc["alphas"]],
                                    converged=converged)

@@ -326,8 +326,7 @@ def solve_at(prod: ProductPomdp, lam: float, delta: float, cfg: SolverConfig, wa
     stopping = prod.stopping
     if stopping.kind != "geometric":
         policy = solve_finite_horizon(prod, reward, stopping.T, cfg, terminal=terminal)
-        upper = start_bound(mdp_q_table(prod, reward, terminal), prod)
-        return policy, upper - start_value(policy, prod), None
+        return policy, mdp_upper_bound(prod, reward, terminal) - start_value(policy, prod), None
     gamma = stopping.gamma
     if warm is None:
         # looked up on the module, so a patched (e.g. traced) walk is the one called

@@ -61,11 +61,6 @@ class StoppingModel:
     def geometric(cls, gamma: float) -> "StoppingModel":
         return cls("geometric", gamma=float(gamma))
 
-    def expected_horizon(self) -> float:
-        if self.kind == "fixed":
-            return float(self.T)
-        return self.gamma / (1.0 - self.gamma)
-
 
 class LabeledPomdp:
     """The labeled POMDP tuple (S, A, P, varpi, O, Z, AP, L, r) plus stopping.
@@ -223,25 +218,8 @@ class Trajectory:
     observations = _array_of("observation_list", np.int64)
     rewards = _array_of("reward_list", np.float64)
 
-    @property
-    def horizon(self) -> int:
-        return len(self.state_list) - 1
-
-    def total_reward(self) -> float:
-        return float(self.rewards.sum())
-
     def __len__(self) -> int:
         return len(self.state_list)
-
-
-class FixedActionPolicy:
-    """Always plays the same action."""
-
-    def __init__(self, action: int):
-        self.action_index = int(action)
-
-    def action(self, belief, t):
-        return self.action_index
 
 
 class RandomPolicy:
@@ -595,10 +573,14 @@ def model_from_dict(doc: dict) -> LabeledPomdp:
             Z[x, _ref(o_index, o, "observation", f"observe[{s!r}]")] = _prob(p, f"observe[{s!r}]")
 
     rewards = np.zeros((S, A))
+    seen_rewards = set()
     for row in _typed(doc.get("rewards", []), list, "rewards"):
         s, a = _typed(row, dict, "each reward row").get("state"), row.get("action")
         where = f"reward ({s!r}, {a!r})"
         key = (_ref(s_index, s, "state", where), _ref(a_index, a, "action", where))
+        if key in seen_rewards:
+            raise ModelError(f"duplicate reward row for (state={s!r}, action={a!r})")
+        seen_rewards.add(key)
         rewards[key] = _number(row.get("value", 0.0), where)
 
     stop_doc = _typed(doc["stopping"], dict, "stopping")

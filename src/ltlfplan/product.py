@@ -66,10 +66,6 @@ class ProductPomdp(LabeledPomdp):
         for arr in (self.pairs, self.r_final, self.accepts_at_stop):
             arr.setflags(write=False)
 
-    def final_satisfied(self, traj: Trajectory) -> bool:
-        """Whether a run on this product satisfies the spec."""
-        return bool(self.accepts_at_stop[traj.state_list[-1]])
-
     def simulate(self, policy, seed: int, cache: RolloutCache | None = None, i: int = 0,
                  head: list[float] | None = None) -> Trajectory:
         """Sample rollout i of ``seed`` on this product: a plain ``sample_trajectory`` run."""

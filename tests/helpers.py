@@ -119,11 +119,9 @@ def deterministic_chain(n=3, reward_on=None, stopping=None, atoms=("a",), label_
     rewards = np.zeros((n, 1))
     for s, value in (reward_on or {}).items():
         rewards[s, 0] = value
-    model = LabeledPomdp("chain", [f"s{i}" for i in range(n)], ["go"], ["tick"],
-                         P, Z, varpi, atoms, labels, rewards,
-                         stopping or StoppingModel.fixed(2))
-    model.validate()
-    return model
+    return LabeledPomdp("chain", [f"s{i}" for i in range(n)], ["go"], ["tick"],
+                        P, Z, varpi, atoms, labels, rewards,
+                        stopping or StoppingModel.fixed(2))
 
 
 def uninformative_two_state(p_stay=0.9, rewards=((1.0, 0.0), (0.0, 2.0)),
@@ -135,12 +133,10 @@ def uninformative_two_state(p_stay=0.9, rewards=((1.0, 0.0), (0.0, 2.0)),
     P[1, 0] = (1 - p_stay, p_stay)
     P[1, 1] = (p_stay, 1 - p_stay)
     Z = np.ones((2, 1))
-    model = LabeledPomdp("blind2", ["s0", "s1"], ["a0", "a1"], ["tick"], P, Z,
-                         np.array([0.5, 0.5]), ("a",), np.array([0, 1]),
-                         np.array(rewards, dtype=float),
-                         stopping or StoppingModel.fixed(2))
-    model.validate()
-    return model
+    return LabeledPomdp("blind2", ["s0", "s1"], ["a0", "a1"], ["tick"], P, Z,
+                        np.array([0.5, 0.5]), ("a",), np.array([0, 1]),
+                        np.array(rewards, dtype=float),
+                        stopping or StoppingModel.fixed(2))
 
 
 def fully_observable(P, rewards, gamma=0.9, labels=None, atoms=("a",), stopping=None):
@@ -149,13 +145,11 @@ def fully_observable(P, rewards, gamma=0.9, labels=None, atoms=("a",), stopping=
     P = np.asarray(P, dtype=float)
     S = P.shape[0]
     names = [f"s{i}" for i in range(S)]
-    model = LabeledPomdp("fo", names, [f"a{i}" for i in range(P.shape[1])], names,
-                         P, np.eye(S), np.full(S, 1.0 / S), atoms,
-                         np.zeros(S, dtype=np.int64) if labels is None else np.asarray(labels),
-                         np.asarray(rewards, dtype=float),
-                         stopping or StoppingModel.geometric(gamma))
-    model.validate()
-    return model
+    return LabeledPomdp("fo", names, [f"a{i}" for i in range(P.shape[1])], names,
+                        P, np.eye(S), np.full(S, 1.0 / S), atoms,
+                        np.zeros(S, dtype=np.int64) if labels is None else np.asarray(labels),
+                        np.asarray(rewards, dtype=float),
+                        stopping or StoppingModel.geometric(gamma))
 
 
 # --------------------------------------------------------------------------

@@ -15,9 +15,11 @@ import pytest
 from ltlfplan.benchmarks import chain3, coupling_suite, random_tiny_model, run_experiment, twostate_constrained
 from ltlfplan.dfa import compile_dfa, compile_minimal_dfa, empty_accept, progress
 from ltlfplan.ltlf import Word, enumerate_letters, evaluate_trace, parse_formula, satisfaction_table
-from ltlfplan.pbvi import SolverConfig, exact_value_oracle, solve_finite_horizon, start_value
+from ltlfplan.pbvi import (
+    AlphaPolicy, SolverConfig, exact_value_oracle, solve_finite_horizon, start_value,
+)
 from ltlfplan.planner import ConstrainedProblem, eg_solve, mc_evaluate, regret_bound
-from ltlfplan.pomdp import FixedActionPolicy, RandomPolicy, derive_seed, sample_trajectory
+from ltlfplan.pomdp import RandomPolicy, derive_seed, sample_trajectory
 from ltlfplan.product import build_product, prune_unreachable
 
 from helpers import eval_stationary_product_policy, formula_corpus, lp_mixture_optimum
@@ -118,7 +120,7 @@ def test_acceptance_3_pathwise_coupling():
             base_sum = model.rewards[base_states, traj.actions].sum()
             assert traj.rewards.sum() == base_sum  # exact, not approximate
             word = Word.from_sets([label_sets[s] for s in base_states], atoms=model.atoms)
-            assert prod.final_satisfied(traj) == evaluate_trace(formula, word, 0)
+            assert prod.accepts_at_stop[traj.state_list[-1]] == evaluate_trace(formula, word, 0)
             total += 1
     assert total == 5 * per_model
     print(f"\nPASS criterion 3: reward and acceptance coupling exact on {total} trajectories")
@@ -144,7 +146,7 @@ def test_acceptance_4_geometric_final_reward_identity():
         series += gamma ** t * float(dist @ prod.r_final)
         t += 1
     exact = (1 - gamma) / gamma * series
-    est = mc_evaluate(FixedActionPolicy(0), prod, 100_000, seed=4040)
+    est = mc_evaluate(AlphaPolicy(np.zeros((1, prod.n_states)), [0]), prod, 100_000, seed=4040)
     elapsed = time.monotonic() - t0
     assert abs(est.p_hat - exact) <= 3 * est.p_se
     assert elapsed < 60.0

@@ -1,12 +1,13 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ltlfplan.benchmarks import (
-    CSV_COLUMNS, GRIDS, MODEL_NAMES, PRESETS, build_instance, chain3, make_model, make_spec,
-    random_tiny_model, render_trajectory_ascii, run_experiment, trajectory_table,
+    CSV_COLUMNS, GRIDS, MODEL_NAMES, PRESETS, build_grid_model, build_instance, chain3, make_model,
+    make_spec, random_tiny_model, render_trajectory_ascii, run_experiment, trajectory_table,
     twostate_constrained,
 )
 from ltlfplan.dfa import compile_minimal_dfa
@@ -121,15 +122,15 @@ def test_proximity_labels_track_hypothesis():
 
 
 def test_model_overrides():
-    m = make_model("M1", rewards={(0, 3): 4.0})
+    m = build_grid_model(replace(GRIDS["M1"], rewards={(0, 3): 4.0}))
     assert m.rewards[m.states.index("(0,3)"), 0] == pytest.approx(0.04)
     with pytest.raises(ValueError):
-        make_model("M1", labels={(9, 9): ("a",)})
+        build_grid_model(replace(GRIDS["M1"], labels={(9, 9): ("a",)}))
 
 
 def test_objects_choose_the_channel():
     """Objects, not the grid's name, pick motion and sensor."""
-    m8 = make_model("M8", objects=())
+    m8 = build_grid_model(replace(GRIDS["M8"], objects=()))
     assert m8.n_states == 16
     assert m8.observations == m8.states == make_model("M1").states
     assert m8.atoms == ("a",)
@@ -137,7 +138,7 @@ def test_objects_choose_the_channel():
     assert np.count_nonzero(m8.Z[interior]) == 4
     north = m8.actions.index("north")
     assert m8.P[interior, north, m8.states.index("(2,3)")] == pytest.approx(0.95 + 0.05 / 3)
-    m1 = make_model("M1", objects=(((2, 0), 0.8),))
+    m1 = build_grid_model(replace(GRIDS["M1"], objects=(((2, 0), 0.8),)))
     assert m1.n_states == 16 and m1.observations == ["F", "C"]
     assert m1.states[0] == "(0,0)|obj0"
     s = m1.states.index("(1,0)|obj0")
@@ -145,7 +146,7 @@ def test_objects_choose_the_channel():
     assert m1.P[s, m1.actions.index("north"), m1.states.index("(1,1)|obj0")] == 1.0
     assert m1.label_sets()[m1.states.index("(2,0)|obj0")] == frozenset({"b"})
     with pytest.raises(ValueError):
-        make_model("M8", objects=(((4, 0), 0.9),))
+        build_grid_model(replace(GRIDS["M8"], objects=(((4, 0), 0.9),)))
 
 
 # sha256 of each preset model's sorted-key JSON: any change to a grid entry, a

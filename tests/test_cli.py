@@ -225,8 +225,7 @@ def test_trace_replays_rollout_zero_of_evaluate(tmp_path, model_file, monkeypatc
     # column shows which policy the selection draw picked
     n = load_policy(out / "policies" / "policy_0001.json").n_states
     for a in (0, 1):
-        save_policy(AlphaPolicy(np.zeros((1, n)), [a], gamma=0.9),
-                    out / f"always_{a}.json")
+        save_policy(AlphaPolicy(np.zeros((1, n)), [a]), out / f"always_{a}.json")
     (out / "mixture.json").write_text(json.dumps(
         {"weights": [0.5, 0.5], "policies": ["always_0.json", "always_1.json"]}))
     simulated = []
@@ -327,36 +326,30 @@ def _vectors(n, actions=(0, 1)):
 # each writes a policy file that cannot run on the 4-state, 2-action "F g"
 # product of the two-state model; n is the product's state count
 MALFORMED_POLICIES = {
-    "short_vector": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9,
+    "short_vector": lambda n: {"kind": "stationary", "n_states": n,
                                "alphas": _vectors(n) + [{"action": 0, "values": [0.0] * (n - 1)}]},
-    "nan_entry": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9,
+    "nan_entry": lambda n: {"kind": "stationary", "n_states": n,
                             "alphas": _vectors(n) + [{"action": 0, "values": [float("nan")] * n}]},
     "unknown_kind": lambda n: {"kind": "tabular", "n_states": n, "alphas": _vectors(n)},
-    "empty_alphas": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9, "alphas": []},
-    "action_out_of_range": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9,
+    "empty_alphas": lambda n: {"kind": "stationary", "n_states": n, "alphas": []},
+    "action_out_of_range": lambda n: {"kind": "stationary", "n_states": n,
                                       "alphas": _vectors(n, (0, 2))},
-    "wrong_state_count": lambda n: {"kind": "stationary", "n_states": n + 1, "gamma": 0.9,
+    "wrong_state_count": lambda n: {"kind": "stationary", "n_states": n + 1,
                                     "alphas": _vectors(n + 1)},
     "time_indexed_on_geometric": lambda n: {"kind": "time_indexed", "n_states": n, "horizon": 1,
                                             "alphas": [_vectors(n), _vectors(n)]},
     # JSON numbers of the wrong kind are refused, not coerced
-    "action_fraction": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9,
+    "action_fraction": lambda n: {"kind": "stationary", "n_states": n,
                                   "alphas": [{"action": 0.7, "values": [0.0] * n}]},
-    "action_true": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9,
+    "action_true": lambda n: {"kind": "stationary", "n_states": n,
                               "alphas": [{"action": True, "values": [0.0] * n}]},
-    "n_states_float": lambda n: {"kind": "stationary", "n_states": float(n), "gamma": 0.9,
+    "n_states_float": lambda n: {"kind": "stationary", "n_states": float(n),
                                  "alphas": _vectors(n)},
     "converged_int": lambda n: {"kind": "stationary", "n_states": n, "converged": 1,
-                                "gamma": 0.9, "alphas": _vectors(n)},
-    "gamma_string": lambda n: {"kind": "stationary", "n_states": n, "gamma": "0.9",
-                               "alphas": _vectors(n)},
-    "gamma_int": lambda n: {"kind": "stationary", "n_states": n, "gamma": 7,
-                            "alphas": _vectors(n)},
-    "gamma_true": lambda n: {"kind": "stationary", "n_states": n, "gamma": True,
-                             "alphas": _vectors(n)},
-    "values_strings": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9,
+                                "alphas": _vectors(n)},
+    "values_strings": lambda n: {"kind": "stationary", "n_states": n,
                                  "alphas": [{"action": 0, "values": ["1.5"] + ["2"] * (n - 1)}]},
-    "values_bools": lambda n: {"kind": "stationary", "n_states": n, "gamma": 0.9,
+    "values_bools": lambda n: {"kind": "stationary", "n_states": n,
                                "alphas": [{"action": 0, "values": [True] + [False] * (n - 1)}]},
 }
 
@@ -371,7 +364,7 @@ MALFORMED_WEIGHTS = {"weights_nan": [float("nan"), 1.0], "weights_inf": [float("
                          + ["weights_sum_1.1", "second_member_wrong_states", "policies_string"])
 def test_malformed_policy_files_exit_3(tmp_path, model_file, command, case):
     n = 4
-    good = {"kind": "stationary", "n_states": n, "gamma": 0.9, "alphas": _vectors(n)}
+    good = {"kind": "stationary", "n_states": n, "alphas": _vectors(n)}
     (tmp_path / "good.json").write_text(json.dumps(good))
     if case == "weights_sum_1.1":
         doc = {"weights": [0.6, 0.5], "policies": ["good.json", "good.json"]}
@@ -458,20 +451,31 @@ def test_missing_model_file(tmp_path):
                "--out", str(tmp_path / "p")) == 3
 
 
-@pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file", "spec_file_is_a_directory",
+@pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file", "policies_is_a_file",
+                                  "result_is_a_directory", "spec_file_is_a_directory",
                                   "spec_file_not_utf8", "model_not_utf8", "policy_is_a_directory",
                                   "policy_not_utf8"])
 def test_unusable_user_paths_exit_3(tmp_path, model_file, capsys, case):
-    """An --out that cannot be made a directory, and an input file that is a
-    directory or not UTF-8, are input errors naming the path."""
+    """An --out that cannot be made a directory, an output path inside it
+    that cannot be written, and an input file that is a directory or not
+    UTF-8, are input errors naming the path."""
     a_file = tmp_path / "a_file"
     a_file.write_text("F g\n")
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"name": "caf\xe9"}\n')
     spec, out = ["--spec", "F g"], ["--out", str(tmp_path / "out")]
+    solve = ["solve", "--model", model_file, *spec, "--threshold", "0.75", "--B", "4", "--K", "1",
+             "--simu", "5", "--n-beliefs", "6", "--max-rounds", "30", *out]
+    if case == "policies_is_a_file":
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "policies").write_text("")
+    elif case == "result_is_a_directory":
+        (tmp_path / "out" / "result.json").mkdir(parents=True)
     argv, named = {
         "out_is_a_file": (["compile", *spec, "--out", str(a_file)], a_file),
         "out_under_a_file": (["compile", *spec, "--out", str(a_file / "c")], a_file / "c"),
+        "policies_is_a_file": (solve, tmp_path / "out" / "policies"),
+        "result_is_a_directory": (solve, tmp_path / "out" / "result.json"),
         "spec_file_is_a_directory": (["compile", "--spec-file", str(tmp_path), *out], tmp_path),
         "spec_file_not_utf8": (["compile", "--spec-file", str(latin1), *out], latin1),
         "model_not_utf8": (["product", "--model", str(latin1), *spec, *out], latin1),

@@ -6,9 +6,9 @@ import pytest
 
 from ltlfplan.benchmarks import MODEL_NAMES, make_model
 from ltlfplan.dfa import (
-    ALIVE, Dfa, DfaBudgetError, canonical_form, canonicalize, compile_dfa,
-    compile_minimal_dfa, dfa_accepts, dfa_from_dict, dfa_to_dict, dfa_to_dot,
-    empty_accept, load_dfa, minimize_dfa, progress, save_dfa,
+    ALIVE, Dfa, DfaBudgetError, canonical_form, compile_dfa, compile_minimal_dfa,
+    dfa_from_dict, dfa_to_dict, dfa_to_dot, empty_accept, load_dfa, minimize_dfa, progress,
+    save_dfa,
 )
 from ltlfplan.ltlf import (
     FALSE, TRUE, And, Atom, Eventually, LtlfError, Not, Word, enumerate_letters,
@@ -68,21 +68,21 @@ def test_empty_accept_table():
 # --------------------------------------------------------------------------
 
 def test_canonicalize_idempotence_and_domination():
-    assert canonicalize(And(A, A)) == canonicalize(A)
-    assert canonicalize(parse_formula("F a | true")) == canonicalize(TRUE)
-    assert canonicalize(parse_formula("a | !a")) == canonicalize(TRUE)
-    assert canonicalize(parse_formula("a & !a")) == canonicalize(FALSE)
+    assert canonical_form(And(A, A))[0] == canonical_form(A)[0]
+    assert canonical_form(parse_formula("F a | true"))[0] == canonical_form(TRUE)[0]
+    assert canonical_form(parse_formula("a | !a"))[0] == canonical_form(TRUE)[0]
+    assert canonical_form(parse_formula("a & !a"))[0] == canonical_form(FALSE)[0]
 
 
 def test_canonicalize_discharges_progressed_conjunct():
     residual = progress(PHI["phi1"], {"a"})
-    assert canonicalize(residual) == canonicalize(parse_formula("G !b"))
+    assert canonical_form(residual)[0] == canonical_form(parse_formula("G !b"))[0]
 
 
 def test_canonical_form_representative_is_equivalent():
     f = parse_formula("(a -> F b) & (F b -> F b)")
     key, rep = canonical_form(f)
-    assert canonicalize(rep) == key
+    assert canonical_form(rep)[0] == key
     for length in range(1, 4):
         assert np.array_equal(satisfaction_table(f, ("a", "b"), length),
                               satisfaction_table(rep, ("a", "b"), length))
@@ -141,7 +141,7 @@ def test_compiler_transitions_match_progress_canonicalize():
         for mask in range(d.alphabet_size):
             sigma = {a for i, a in enumerate(d.atoms) if mask >> i & 1}
             target = int(d.delta[q, mask])
-            assert canonicalize(progress(rep, sigma)) == canonicalize(reps[target])
+            assert canonical_form(progress(rep, sigma))[0] == canonical_form(reps[target])[0]
 
 
 # --------------------------------------------------------------------------
@@ -241,32 +241,26 @@ def test_minimization_preserves_language_random_words():
 
 def test_dfa_accepts_examples():
     d = compile_minimal_dfa(Eventually(A), atoms=["a"])
-    assert dfa_accepts(d, Word.from_sets([{"a"}])) is True
-    assert dfa_accepts(d, Word.from_sets([set(), set()], atoms=["a"])) is False
+    assert d.run(Word.from_sets([{"a"}]).letters) in d.accepting
+    assert d.run(Word.from_sets([set(), set()], atoms=["a"]).letters) not in d.accepting
 
 
 def test_dfa_rejects_avoid_violation():
     d = compile_minimal_dfa(PHI["phi1"])
     w = Word.from_sets([set(), {"b"}, {"a"}], atoms=["a", "b"])
-    assert dfa_accepts(d, w) is False
+    assert d.run(w.letters) not in d.accepting
 
 
 def test_dfa_accepts_empty_word_is_initial_acceptance():
     for f in (PHI["phi1"], parse_formula("G !b"), TRUE):
         d = compile_minimal_dfa(f, atoms=["a", "b"])
-        assert dfa_accepts(d, Word(("a", "b"), [])) == empty_accept(f)
+        assert (d.run([]) in d.accepting) == empty_accept(f)
 
 
 def test_dfa_letter_out_of_range():
     d = compile_minimal_dfa(Eventually(A), atoms=["a"])
     with pytest.raises(LtlfError):
         d.step(0, 5)
-
-
-def test_dfa_word_atom_mismatch_rejected():
-    d = compile_minimal_dfa(Eventually(A), atoms=["a"])
-    with pytest.raises(LtlfError):
-        dfa_accepts(d, Word.from_sets([{"b"}]))
 
 
 def test_compiler_correctness_random_sample():

@@ -5,8 +5,10 @@ import sits at module level, only ``product.py`` constructs a
 ``hashlib``, the seed hash, or builds and positions Philox generators,
 outside ``pomdp.py`` only ``planner.rollouts`` draws rollout heads and
 mixture picks, the body of ``pomdp.sample_trajectory`` names no ``np.``
-attribute, and the body of ``planner.eg_solve`` names no solver function
-and reads no ``.stopping``.
+attribute, the body of ``planner.eg_solve`` names no solver function
+and reads no ``.stopping``, and every public top-level function and class
+is read somewhere in the package or the benchmark, or is listed in
+``UNREAD_PUBLIC`` with its reason.
 
 ``__init__.py`` is exempt from the import check: its imports are the package's
 re-exports.
@@ -299,3 +301,66 @@ def test_the_check_sees_a_solver_read():
                      "def solve_at(prod):\n    return mdp_q_table(prod, prod.stopping)\n")
     assert sorted(set(solver_reads(tree, "eg_solve"))) == [3, 4, 5, 6]
     assert sorted(set(solver_reads(tree, "solve_at"))) == [9]
+
+
+# Public top-level functions and classes that nothing in src/ltlfplan or
+# perfbench/ reads, by reason; every other one must have a reader there.
+UNREAD_PUBLIC = {
+    "library entry points documented in README": {"load_dfa", "load_product", "progress",
+                                                  "save_model"},
+    "reference oracles": {"evaluate_trace", "exact_value_oracle", "satisfaction_table"},
+    "test fixtures": {"RandomPolicy", "accepting_sink_instance", "coupling_suite"},
+}
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def public_definitions(tree):
+    """Names of the module's public top-level functions and classes."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def name_reads(tree):
+    """(name, enclosing top-level definition or None) for each name read,
+    bare or as an attribute."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+
+
+def unread_definitions(library, others=()):
+    """Sorted public top-level definitions of the ``library`` trees (file
+    name -> tree) that no tree reads outside the definition's own body;
+    ``others`` holds more (file name, tree) readers."""
+    readers = {}
+    for where, tree in [*library.items(), *others]:
+        for name, owner in name_reads(tree):
+            readers.setdefault(name, set()).add((where, owner))
+    return sorted(name for where, tree in library.items() for name in public_definitions(tree)
+                  if not readers.get(name, set()) - {(where, name)})
+
+
+def test_every_public_definition_has_a_reader():
+    """A public name kept only for the tests is a second spelling of a job
+    the package does another way, unless it is listed with its reason."""
+    library = {path.name: ast.parse(path.read_text())
+               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    benchmark = [(str(path), ast.parse(path.read_text()))
+                 for path in sorted(PERFBENCH.rglob("*.py"))]
+    unread = set(unread_definitions(library, benchmark))
+    listed = set().union(*UNREAD_PUBLIC.values())
+    assert not unread - listed, f"public names nothing reads: {sorted(unread - listed)}"
+    assert not listed - unread, f"listed as unread, but read or gone: {sorted(listed - unread)}"
+
+
+def test_the_check_sees_an_unlisted_unread_name():
+    tree = ast.parse("def used():\n    return 1\n\ndef unused():\n    return used()\n\n"
+                     "def recursive(n):\n    return recursive(n - 1)\n\n"
+                     "class Thing:\n    pass\n\ndef _private():\n    return 0\n")
+    reader = ast.parse("import m\n\ndef make():\n    return m.Thing()\n")
+    assert unread_definitions({"m.py": tree}) == ["Thing", "recursive", "unused"]
+    assert unread_definitions({"m.py": tree}, [("r.py", reader)]) == ["recursive", "unused"]

@@ -247,7 +247,7 @@ def test_suffix_recursion():
         for n in range(0, letters.shape[0], 41):
             w = Word(("a", "b"), letters[n].tolist())
             for i in range(5):
-                assert bool(table[n, i]) == evaluate_trace(f, w.suffix(i), 0)
+                assert bool(table[n, i]) == evaluate_trace(f, Word(w.atoms, w.letters[i:]), 0)
 
 
 def test_formula_atoms():

@@ -16,8 +16,9 @@ from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import TRUE, parse_formula
 from ltlfplan.pbvi import (
     AlphaPolicy, SolverConfig, TimeIndexedPolicy, _backup_plan, _point_backup,
-    check_policy, exact_value_oracle, load_policy, mdp_upper_bound, policy_from_dict,
-    policy_to_dict, save_policy, solve_discounted, solve_finite_horizon, start_value,
+    check_policy, exact_value_oracle, expand_beliefs_random_walk, load_policy, mdp_upper_bound,
+    policy_from_dict, policy_to_dict, save_policy, solve_discounted, solve_finite_horizon,
+    start_value,
 )
 from ltlfplan.planner import scalarize
 from ltlfplan.pomdp import LabeledPomdp, StoppingModel, derive_seed, make_rng, sample_trajectory
@@ -39,6 +40,11 @@ def trivial_product(model):
     return product_of(model, "true")
 
 
+def walked_solve(prod, reward, gamma, cfg):
+    """A cold solve at the random walk's belief set, the one planner.solve_at hands it."""
+    return solve_discounted(prod, reward, gamma, cfg, expand_beliefs_random_walk(prod, cfg, gamma))
+
+
 # --------------------------------------------------------------------------
 # Discounted solver
 # --------------------------------------------------------------------------
@@ -49,7 +55,7 @@ def test_single_state_geometric_series():
                      (), np.zeros(1, dtype=np.int64), np.ones((1, 1)),
                      StoppingModel.geometric(0.5))
     prod = trivial_product(m)
-    policy = solve_discounted(prod, prod.rewards, 0.5, SolverConfig(n_beliefs=1))
+    policy = walked_solve(prod, prod.rewards, 0.5, SolverConfig(n_beliefs=1))
     assert policy.value_at(np.ones(1)) == pytest.approx(2.0, abs=1e-6)
 
 
@@ -64,7 +70,7 @@ def test_fully_observable_matches_exact_value_iteration():
     m = fully_observable(P, R, gamma=gamma)
     prod = trivial_product(m)
     cfg = SolverConfig(n_beliefs=16, max_backup_rounds=2000, bellman_tolerance=1e-9)
-    policy = solve_discounted(prod, prod.rewards, gamma, cfg)
+    policy = walked_solve(prod, prod.rewards, gamma, cfg)
     V = mdp_value_iteration_discounted(P, R, gamma)
     for s in range(2):
         point = np.zeros(2)
@@ -76,7 +82,7 @@ def test_solver_value_consistent_with_rollouts():
     model, _ = twostate_constrained(0.8)
     prod = product_of(model, "F g")
     cfg = SolverConfig(n_beliefs=12, max_backup_rounds=1000, bellman_tolerance=1e-9)
-    policy = solve_discounted(prod, prod.rewards, 0.8, cfg)
+    policy = walked_solve(prod, prod.rewards, 0.8, cfg)
     n = 10_000
     totals = np.empty(n)
     for i in range(n):
@@ -85,25 +91,21 @@ def test_solver_value_consistent_with_rollouts():
     assert abs(totals.mean() - start_value(policy, prod)) <= 3 * se
 
 
-def test_monotone_improvement_and_bounds(monkeypatch):
+def test_monotone_improvement_and_bounds():
     """Point values at the belief set never fall as the round cap grows,
     from cap 0 (the floor and warm-start winners) to the converged solve."""
     model = uninformative_two_state(stopping=StoppingModel.geometric(0.9))
     prod = trivial_product(model)
     cfg = SolverConfig(n_beliefs=24, max_backup_rounds=300, bellman_tolerance=1e-8)
-    policy = solve_discounted(prod, prod.rewards, 0.9, cfg)
+    policy = walked_solve(prod, prod.rewards, 0.9, cfg)
     beliefs = policy.stats["beliefs"]
     rounds = policy.stats["rounds"]
     assert policy.converged and rounds > 1
 
     def capped(cap):
-        return solve_discounted(prod, prod.rewards, 0.9, replace(cfg, max_backup_rounds=cap))
+        return solve_discounted(prod, prod.rewards, 0.9, replace(cfg, max_backup_rounds=cap),
+                                beliefs)
 
-    # Same seed, same walk: the first and last caps rebuild this belief set,
-    # so the sweep below reuses it instead of repeating the walk per cap.
-    for cap in (0, rounds):
-        assert np.array_equal(capped(cap).stats["beliefs"], beliefs)
-    monkeypatch.setattr(pbvi, "expand_beliefs_random_walk", lambda *args: beliefs)
     values = [(beliefs @ capped(cap).alphas.T).max(axis=1) for cap in range(rounds + 1)]
     for older, newer in zip(values, values[1:]):
         assert np.all(newer >= older - 1e-12)
@@ -119,8 +121,8 @@ def test_solver_deterministic():
     model = uninformative_two_state(stopping=StoppingModel.geometric(0.9))
     prod = trivial_product(model)
     cfg = SolverConfig(n_beliefs=24, max_backup_rounds=120, expansion_seed=5)
-    p1 = solve_discounted(prod, prod.rewards, 0.9, cfg)
-    p2 = solve_discounted(prod, prod.rewards, 0.9, cfg)
+    p1 = walked_solve(prod, prod.rewards, 0.9, cfg)
+    p2 = walked_solve(prod, prod.rewards, 0.9, cfg)
     assert np.array_equal(p1.actions, p2.actions)
     assert np.array_equal(p1.alphas, p2.alphas)
 
@@ -157,8 +159,8 @@ def solver_digest(case):
     else:
         prod, preset = build_instance(case), PRESETS[case]
         reward, _, _ = scalarize(prod, preset.B / 2, 1.0 - preset.threshold)
-        policy = solve_discounted(prod, reward, prod.stopping.gamma,
-                                  SolverConfig(expansion_seed=1, max_backup_rounds=60))
+        policy = walked_solve(prod, reward, prod.stopping.gamma,
+                              SolverConfig(expansion_seed=1, max_backup_rounds=60))
         stages = [(policy, policy.stats["rounds"])]
     for stage, rounds in stages:
         digest.update(stage.alphas.tobytes())
@@ -189,8 +191,7 @@ def test_solves_are_the_recorded_bits(case, solver_digests):
 def test_nonconvergence_flagged_not_raised():
     model = uninformative_two_state(stopping=StoppingModel.geometric(0.99))
     prod = trivial_product(model)
-    policy = solve_discounted(prod, prod.rewards, 0.99,
-                              SolverConfig(n_beliefs=8, max_backup_rounds=3))
+    policy = walked_solve(prod, prod.rewards, 0.99, SolverConfig(n_beliefs=8, max_backup_rounds=3))
     assert policy.converged is False
 
 
@@ -198,9 +199,9 @@ def test_discounted_argument_validation():
     model = uninformative_two_state()
     prod = trivial_product(model)
     with pytest.raises(ValueError):
-        solve_discounted(prod, prod.rewards, 1.0, SolverConfig())
+        solve_discounted(prod, prod.rewards, 1.0, SolverConfig(), np.eye(2))
     with pytest.raises(ValueError):
-        solve_discounted(prod, np.zeros((3, 3)), 0.9, SolverConfig())
+        solve_discounted(prod, np.zeros((3, 3)), 0.9, SolverConfig(), np.eye(2))
     with pytest.raises(ValueError):
         SolverConfig(n_beliefs=0)
 
@@ -306,7 +307,7 @@ def test_point_backup_matches_dense_on_pruned_m7():
     gamma = prod.stopping.gamma
     for lam in (preset.B / 2, 0.0):
         reward, _, _ = scalarize(prod, lam, 1.0 - preset.threshold)
-        policy = solve_discounted(prod, reward, gamma, SolverConfig(
+        policy = walked_solve(prod, reward, gamma, SolverConfig(
             n_beliefs=100, max_backup_rounds=60, expansion_seed=1))
         assert policy.alphas.shape[0] > 10
         assert_backups_agree(prod, reward, gamma, policy.stats["beliefs"], policy.alphas)
@@ -478,7 +479,7 @@ def test_mdp_upper_bound(case):
     for lam in (0.0, B / 2):
         reward, _, _ = scalarize(prod, lam, 1.0 - threshold)
         bound = mdp_upper_bound(prod, reward)
-        lower = start_value(solve_discounted(prod, reward, prod.stopping.gamma, cfg), prod)
+        lower = start_value(walked_solve(prod, reward, prod.stopping.gamma, cfg), prod)
         assert bound >= lower
         if case == "twostate" and lam == 0.0:
             assert bound - lower <= 1e-6
@@ -492,36 +493,23 @@ def test_mdp_upper_bound_rejects_bad_reward_maps():
         mdp_upper_bound(prod, np.array([[0.0, np.nan], [1.0, 0.0]]))
 
 
-def test_supplied_beliefs_are_the_solves_own():
-    """A solve handed the walk's belief set returns what it returns when it
-    walks itself."""
-    model = uninformative_two_state(stopping=StoppingModel.geometric(0.9))
-    prod = trivial_product(model)
-    cfg = SolverConfig(n_beliefs=24, max_backup_rounds=120, expansion_seed=5)
-    own = solve_discounted(prod, prod.rewards, 0.9, cfg)
-    given = solve_discounted(prod, prod.rewards, 0.9, cfg,
-                             beliefs=pbvi.expand_beliefs_random_walk(prod, cfg, 0.9))
-    assert np.array_equal(given.alphas, own.alphas)
-    assert np.array_equal(given.actions, own.actions)
-
-
 # --------------------------------------------------------------------------
 # Action selection
 # --------------------------------------------------------------------------
 
 def test_policy_action_single_vector():
-    policy = AlphaPolicy([[0.0, 1.0]], [2], gamma=0.9)
+    policy = AlphaPolicy([[0.0, 1.0]], [2])
     assert policy.action(np.array([1.0, 0.0])) == 2
     assert policy.action(np.array([0.0, 1.0])) == 2
 
 
 def test_policy_action_tie_breaks_low_index():
-    policy = AlphaPolicy([[1.0, 1.0], [1.0, 1.0]], [3, 0], gamma=0.9)
+    policy = AlphaPolicy([[1.0, 1.0], [1.0, 1.0]], [3, 0])
     assert policy.action(np.array([0.5, 0.5])) == 3
 
 
 def test_policy_action_dominating_action():
-    policy = AlphaPolicy([[5.0, 0.0], [0.0, 5.0]], [0, 1], gamma=0.9)
+    policy = AlphaPolicy([[5.0, 0.0], [0.0, 5.0]], [0, 1])
     assert policy.action(np.array([1.0, 0.0])) == 0
     assert policy.action(np.array([0.0, 1.0])) == 1
     with pytest.raises(ValueError):
@@ -566,7 +554,7 @@ def test_check_policy_against_product():
 def test_policy_file_roundtrip(tmp_path):
     model = uninformative_two_state(stopping=StoppingModel.geometric(0.9))
     prod = trivial_product(model)
-    policy = solve_discounted(prod, prod.rewards, 0.9, SolverConfig(n_beliefs=8, max_backup_rounds=40))
+    policy = walked_solve(prod, prod.rewards, 0.9, SolverConfig(n_beliefs=8, max_backup_rounds=40))
     path = tmp_path / "policy.json"
     save_policy(policy, path)
     again = load_policy(path)
@@ -588,7 +576,7 @@ def test_time_indexed_policy_roundtrip():
 
 
 STATIONARY_DOC = (
-    '{"kind": "stationary", "n_states": 2, "converged": false, "gamma": 0.9, "alphas": '
+    '{"kind": "stationary", "n_states": 2, "converged": false, "alphas": '
     '[{"action": 1, "values": [0.5, -1.25]}, {"action": 0, "values": [2.0, 0.0]}]}')
 TIME_INDEXED_DOC = (
     '{"kind": "time_indexed", "n_states": 2, "converged": true, "horizon": 1, "alphas": '
@@ -597,7 +585,7 @@ TIME_INDEXED_DOC = (
 
 
 @pytest.mark.parametrize("policy, want", [
-    (AlphaPolicy([[0.5, -1.25], [2.0, 0.0]], [1, 0], gamma=0.9, converged=False),
+    (AlphaPolicy([[0.5, -1.25], [2.0, 0.0]], [1, 0], converged=False),
      STATIONARY_DOC),
     (TimeIndexedPolicy([AlphaPolicy([[1.0, 0.0]], [0]),
                         AlphaPolicy([[0.25, 0.75], [0.5, 0.5]], [1, 0])]),
@@ -620,12 +608,9 @@ def test_policy_file_numbers_are_not_coerced(field, value):
         policy_from_dict(doc)
 
 
-@pytest.mark.parametrize("gamma", ["0.9", 7, True, 1.0, 0, -0.5, float("nan")])
-def test_policy_file_gamma_is_checked(gamma):
-    doc = json.loads(STATIONARY_DOC)
-    doc["gamma"] = gamma
-    with pytest.raises(ValueError, match="gamma"):
-        policy_from_dict(doc)
-    for good in (None, 0.5):
-        doc["gamma"] = good
-        assert policy_from_dict(doc).gamma == good
+def test_policy_file_ignores_a_legacy_gamma():
+    """Policy files once carried the solve's discount as ``gamma``; such a
+    key is ignored, as any unknown key is."""
+    for gamma in (0.9, None, "0.9", 7, True):
+        doc = dict(json.loads(STATIONARY_DOC), gamma=gamma)
+        assert json.dumps(policy_to_dict(policy_from_dict(doc))) == STATIONARY_DOC

@@ -18,14 +18,14 @@ from ltlfplan.benchmarks import (
 from ltlfplan.dfa import compile_minimal_dfa
 from ltlfplan.ltlf import parse_formula
 from ltlfplan.pbvi import (
-    AlphaPolicy, SolverConfig, mdp_upper_bound, solve_discounted, solve_finite_horizon,
-    start_value,
+    AlphaPolicy, SolverConfig, expand_beliefs_random_walk, mdp_upper_bound, solve_discounted,
+    solve_finite_horizon, start_value,
 )
 from ltlfplan.planner import (
     ConstrainedProblem, MixedPolicy, auto_eta, eg_solve, eg_update_lambda, mc_evaluate,
     reduce_support_bfs, regret_bound, result_to_dict, scalarize,
 )
-from ltlfplan.pomdp import FixedActionPolicy, LabeledPomdp, StoppingModel, derive_seed
+from ltlfplan.pomdp import LabeledPomdp, StoppingModel, derive_seed
 from ltlfplan.product import build_product, constrained_product
 
 from helpers import deterministic_chain, eval_stationary_product_policy, reference_mc_evaluate
@@ -89,7 +89,7 @@ def test_scalarize_identity_on_accepting_sink():
     value = prod.varpi @ np.linalg.inv(np.eye(X) - 0.5 * Ppi) @ rpi
     assert value == pytest.approx(lam, abs=1e-12)
     # and the Monte-Carlo satisfaction probability is exactly one
-    est = mc_evaluate(FixedActionPolicy(0), prod, 200, seed=3)
+    est = mc_evaluate(AlphaPolicy(np.zeros((1, prod.n_states)), [0]), prod, 200, seed=3)
     assert est.p_hat == 1.0
     # q0 not accepting here, so the offset is just the threshold term
     assert offset == pytest.approx(-lam)
@@ -145,7 +145,7 @@ def test_eg_update_rejects_boundary_input():
 def test_mc_all_accepting_product_saturates():
     model, spec = accepting_sink_instance(0.5)
     prod = product_for(model, spec)
-    est = mc_evaluate(FixedActionPolicy(0), prod, 500, seed=11)
+    est = mc_evaluate(AlphaPolicy(np.zeros((1, prod.n_states)), [0]), prod, 500, seed=11)
     assert est.p_hat == 1.0
     assert est.p_se == 0.0
 
@@ -153,8 +153,8 @@ def test_mc_all_accepting_product_saturates():
 def test_mc_degenerate_mixture_matches_pure():
     model, spec = twostate_constrained(0.9)
     prod = product_for(model, spec)
-    go = AlphaPolicy(np.zeros((1, prod.n_states)), [1], gamma=0.9)
-    stay = AlphaPolicy(np.zeros((1, prod.n_states)), [0], gamma=0.9)
+    go = AlphaPolicy(np.zeros((1, prod.n_states)), [1])
+    stay = AlphaPolicy(np.zeros((1, prod.n_states)), [0])
     mixture = MixedPolicy([go, stay], [1.0, 0.0])
     a = mc_evaluate(mixture, prod, 400, seed=21)
     b = mc_evaluate(go, prod, 400, seed=21)
@@ -166,7 +166,7 @@ def test_mc_deterministic_single_run_exact():
     chain = deterministic_chain(3, reward_on={0: 1.0, 1: 0.25, 2: 7.0},
                                 stopping=StoppingModel.fixed(2))
     prod = product_for(chain, "F a")
-    est = mc_evaluate(FixedActionPolicy(0), prod, 64, seed=5)
+    est = mc_evaluate(AlphaPolicy(np.zeros((1, prod.n_states)), [0]), prod, 64, seed=5)
     assert est.r_hat == pytest.approx(8.25, abs=1e-12)
     assert est.r_se == 0.0
     assert est.p_hat == 1.0
@@ -187,8 +187,8 @@ def test_row_sums_are_the_rows_own_sums():
 def test_mixture_linearity():
     model, spec = twostate_constrained(0.5)
     prod = product_for(model, spec)
-    go = AlphaPolicy(np.zeros((1, prod.n_states)), [1], gamma=0.5)
-    stay = AlphaPolicy(np.zeros((1, prod.n_states)), [0], gamma=0.5)
+    go = AlphaPolicy(np.zeros((1, prod.n_states)), [1])
+    stay = AlphaPolicy(np.zeros((1, prod.n_states)), [0])
     w = 0.3
     mixture = MixedPolicy([go, stay], [w, 1 - w])
     n = 100_000
@@ -204,7 +204,7 @@ def test_mixture_linearity():
 
 
 def test_mixed_policy_validation():
-    p = AlphaPolicy(np.zeros((1, 2)), [0], gamma=0.5)
+    p = AlphaPolicy(np.zeros((1, 2)), [0])
     with pytest.raises(ValueError):
         MixedPolicy([p], [0.5])
     with pytest.raises(ValueError):
@@ -238,7 +238,8 @@ def eval_case(case):
     if case.startswith("twostate"):
         prod = constrained_product(*twostate_constrained(0.9))
         cfg = SolverConfig(n_beliefs=12, max_backup_rounds=200, expansion_seed=1)
-        solved = [solve_discounted(prod, scalarize(prod, lam, 0.25)[0], 0.9, cfg)
+        beliefs = expand_beliefs_random_walk(prod, cfg, 0.9)
+        solved = [solve_discounted(prod, scalarize(prod, lam, 0.25)[0], 0.9, cfg, beliefs)
                   for lam in (0.5, 2.0, 8.0)]
         if case == "twostate_alpha":
             policy, n, seed = solved[1], 3000, 61
@@ -247,7 +248,9 @@ def eval_case(case):
     elif case == "m7":
         prod = build_instance("M7")
         cfg = SolverConfig(n_beliefs=20, max_backup_rounds=30, expansion_seed=1)
-        policy = solve_discounted(prod, scalarize(prod, 12.5, 0.2)[0], prod.stopping.gamma, cfg)
+        gamma = prod.stopping.gamma
+        policy = solve_discounted(prod, scalarize(prod, 12.5, 0.2)[0], gamma, cfg,
+                                  expand_beliefs_random_walk(prod, cfg, gamma))
         n, seed = 400, 63
     else:
         prod = constrained_product(random_tiny_model(7, n_states=3, n_actions=2, n_obs=3,
@@ -434,8 +437,9 @@ def test_theorem2_report_contents(twostate_product):
     assert {"k", "lambda", "r_hat", "p_hat", "converged", "gap"} <= set(report["trace"][0])
     assert all(rec.gap >= 0.0 for rec in result.records)
     reward, _, _ = scalarize(twostate_product, 0.0, problem.delta)
-    unconstrained = solve_discounted(twostate_product, reward, 0.9,
-                                     SolverConfig(n_beliefs=8, max_backup_rounds=150))
+    cfg = SolverConfig(n_beliefs=8, max_backup_rounds=150)
+    unconstrained = solve_discounted(twostate_product, reward, 0.9, cfg,
+                                     expand_beliefs_random_walk(twostate_product, cfg, 0.9))
     assert report["r_m_upper_bound"] >= start_value(unconstrained, twostate_product)
 
 
@@ -611,6 +615,6 @@ def test_lemma2_identity_statistical_small():
         total += gamma ** t * float(dist @ prod.r_final)
         t += 1
     exact = (1 - gamma) / gamma * total
-    est = mc_evaluate(FixedActionPolicy(0), prod, 20_000, seed=55)
+    est = mc_evaluate(AlphaPolicy(np.zeros((1, prod.n_states)), [0]), prod, 20_000, seed=55)
     se = max(est.p_se, 1e-9)
     assert abs(est.p_hat - exact) <= 3.5 * se

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ltlfplan.benchmarks import make_model
+from ltlfplan.pbvi import AlphaPolicy
 from ltlfplan.pomdp import (
-    FixedActionPolicy, ImpossibleObservationError, LabeledPomdp, ModelError,
+    ImpossibleObservationError, LabeledPomdp, ModelError,
     RandomPolicy, StoppingModel, belief_init, belief_update, derive_seed, load_model,
     make_rng, model_from_dict, model_to_dict, sample_trajectory, save_model,
 )
@@ -52,8 +53,6 @@ def test_fixed_horizon_takes_numpy_integers():
 
 
 def test_stopping_model_validation():
-    assert StoppingModel.fixed(0).expected_horizon() == 0
-    assert StoppingModel.geometric(0.9).expected_horizon() == pytest.approx(9.0)
     with pytest.raises(ModelError):
         StoppingModel.fixed(-1)
     with pytest.raises(ModelError):
@@ -107,6 +106,15 @@ def test_load_rejects_missing_transition_row():
     with pytest.raises(ModelError) as err:
         model_from_dict(doc)
     assert "missing" in str(err.value)
+
+
+def test_load_rejects_duplicate_reward_row():
+    """A second reward row for the same (state, action) is refused, not
+    silently preferred, as a second transition row is."""
+    doc = two_state_doc()
+    doc["rewards"].append({"state": "s0", "action": "go", "value": 5.0})
+    with pytest.raises(ModelError, match=r"duplicate reward row for \(state='s0', action='go'\)"):
+        model_from_dict(doc)
 
 
 @pytest.mark.parametrize("table", ["P", "Z", "varpi", "rewards"])
@@ -206,23 +214,22 @@ def test_impossible_observation_raises():
 
 def test_fixed_zero_horizon_single_step():
     chain = deterministic_chain(3, stopping=StoppingModel.fixed(0))
-    traj = sample_trajectory(chain, FixedActionPolicy(0), seed=1)
+    traj = sample_trajectory(chain, AlphaPolicy(np.zeros((1, 3)), [0]), seed=1)
     assert len(traj) == 1
-    assert traj.horizon == 0
 
 
 def test_deterministic_chain_unique_run():
     chain = deterministic_chain(3, reward_on={0: 1.0, 1: 0.25, 2: 7.0},
                                 stopping=StoppingModel.fixed(2))
-    traj = sample_trajectory(chain, FixedActionPolicy(0), seed=42)
+    traj = sample_trajectory(chain, AlphaPolicy(np.zeros((1, 3)), [0]), seed=42)
     assert traj.states.tolist() == [0, 1, 2]
-    assert traj.total_reward() == pytest.approx(1.0 + 0.25 + 7.0)
+    assert traj.rewards.sum() == pytest.approx(1.0 + 0.25 + 7.0)
     assert traj.rewards.tolist() == [1.0, 0.25, 7.0]
 
 
 def test_trajectory_arrays_are_its_lists():
     """A run keeps its step lists; each array, built on first read, has the
-    dtype and values of the list, and the total is the array's pairwise sum."""
+    dtype and values of the list."""
     m = make_model("M1")
     traj = sample_trajectory(m, RandomPolicy(m.n_actions, seed=3), seed=77)
     assert len(traj) > 1 and not any(isinstance(v, np.ndarray) for v in vars(traj).values())
@@ -232,8 +239,7 @@ def test_trajectory_arrays_are_its_lists():
         arr = getattr(traj, field)
         assert arr.dtype == dtype and arr.shape == (len(traj),) and arr.tolist() == steps
         assert getattr(traj, field) is arr  # built once
-    assert traj.total_reward() == float(np.array(traj.reward_list, dtype=np.float64).sum())
-    assert traj.horizon == len(traj) - 1 == len(traj.state_list) - 1
+    assert len(traj) == len(traj.state_list)
 
 
 def test_seed_determinism_bit_identical():
@@ -254,8 +260,9 @@ def test_geometric_horizon_mean_and_pmf():
     chain = deterministic_chain(2, stopping=StoppingModel.geometric(gamma))
     n = 100_000
     horizons = np.empty(n)
+    always_go = AlphaPolicy(np.zeros((1, 2)), [0])
     for i in range(n):
-        horizons[i] = sample_trajectory(chain, FixedActionPolicy(0), seed=derive_seed(9, i)).horizon
+        horizons[i] = len(sample_trajectory(chain, always_go, seed=derive_seed(9, i))) - 1
     mean = horizons.mean()
     se = horizons.std(ddof=1) / np.sqrt(n)
     assert abs(mean - gamma / (1 - gamma)) <= 3 * se

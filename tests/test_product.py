@@ -171,7 +171,7 @@ def test_final_state_replay_consistency(m1_product):
     for i in range(30):
         traj = sample_trajectory(prod, RandomPolicy(prod.n_actions, seed=i), seed=derive_seed(4, i))
         word = model.labels[prod.base_run(traj)]
-        assert prod.final_satisfied(traj) == (dfa.run(word) in dfa.accepting)
+        assert prod.accepts_at_stop[traj.state_list[-1]] == (dfa.run(word) in dfa.accepting)
 
 
 def test_simulate_is_a_plain_pomdp_run(m1_product):
@@ -232,7 +232,7 @@ def test_theorem1_pathwise_coupling(m1_product):
         base_reward = model.rewards[base_states, traj.actions].sum()
         assert traj.rewards.sum() == base_reward  # bit-exact channel copy
         word = Word.from_sets([label_sets[s] for s in base_states], atoms=model.atoms)
-        assert prod.final_satisfied(traj) == evaluate_trace(formula, word, 0)
+        assert prod.accepts_at_stop[traj.state_list[-1]] == evaluate_trace(formula, word, 0)
 
 
 def test_prune_preserves_named_dynamics(m1_product):
@@ -246,7 +246,8 @@ def test_prune_preserves_named_dynamics(m1_product):
         t_pruned = sample_trajectory(pruned, RandomPolicy(5, seed=i), seed=derive_seed(6, i))
         assert [prod.states[x] for x in t_full.states] == [pruned.states[x] for x in t_pruned.states]
         assert np.array_equal(t_full.rewards, t_pruned.rewards)
-        assert prod.final_satisfied(t_full) == pruned.final_satisfied(t_pruned)
+        assert prod.accepts_at_stop[t_full.state_list[-1]] == \
+            pruned.accepts_at_stop[t_pruned.state_list[-1]]
 
 
 def test_prune_keeps_initial_support():

@@ -15,7 +15,9 @@ import pytest
 import ltlfplan.product
 from ltlfplan import pomdp
 from ltlfplan.benchmarks import make_model, make_spec, twostate_constrained
-from ltlfplan.pbvi import AlphaPolicy, SolverConfig, solve_discounted, solve_finite_horizon
+from ltlfplan.pbvi import (
+    AlphaPolicy, SolverConfig, expand_beliefs_random_walk, solve_discounted, solve_finite_horizon,
+)
 from ltlfplan.planner import MixedPolicy, mc_evaluate, scalarize
 from ltlfplan.pomdp import (
     _CHUNK, LabeledPomdp, RandomPolicy, RolloutCache, StoppingModel, derive_seed, make_rng,
@@ -122,9 +124,11 @@ CFG = SolverConfig(n_beliefs=20, max_backup_rounds=30)
 @pytest.fixture(scope="module")
 def m7():
     prod = constrained_product(make_model("M7"), make_spec("phi6"))
+    gamma = prod.stopping.gamma
+    beliefs = expand_beliefs_random_walk(prod, CFG, gamma)
 
     def solved(lam):
-        return solve_discounted(prod, scalarize(prod, lam, 0.2)[0], prod.stopping.gamma, CFG)
+        return solve_discounted(prod, scalarize(prod, lam, 0.2)[0], gamma, CFG, beliefs)
 
     rng = make_rng(5)
     arbitrary = AlphaPolicy(rng.random((6, prod.n_states)), np.arange(6) % prod.n_actions)
@@ -328,7 +332,7 @@ def test_mc_evaluate_builds_no_trajectory_array(m7, recorded, kind):
     assert not [i for i, traj in enumerate(runs)
                 if any(isinstance(v, np.ndarray) for v in vars(traj).values())]
     assert est.r_hat == float(np.array([traj.rewards.sum() for traj in runs]).mean())
-    assert est.p_hat == float(np.mean([prod.final_satisfied(traj) for traj in runs]))
+    assert est.p_hat == float(np.mean([prod.accepts_at_stop[run.state_list[-1]] for run in runs]))
 
 
 def test_evaluations_of_different_sizes_share_their_runs(m7, recorded):

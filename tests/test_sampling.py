@@ -6,11 +6,11 @@ import pytest
 
 from ltlfplan.benchmarks import make_model, make_spec, random_tiny_model, twostate_constrained
 from ltlfplan.pbvi import (
-    AlphaPolicy, SolverConfig, solve_discounted, solve_finite_horizon,
+    AlphaPolicy, SolverConfig, expand_beliefs_random_walk, solve_discounted, solve_finite_horizon,
 )
 from ltlfplan.planner import MixedPolicy, mc_evaluate, scalarize
 from ltlfplan.pomdp import (
-    LOAD_ATOL, FixedActionPolicy, LabeledPomdp, RandomPolicy, StoppingModel, _categorical,
+    LOAD_ATOL, LabeledPomdp, RandomPolicy, StoppingModel, _categorical,
     _inverse_cdfs, _pick, derive_seed, make_rng,
 )
 from ltlfplan.product import constrained_product
@@ -37,12 +37,13 @@ def tie_policy(prod):
     """Stationary policy whose first two vectors tie at every belief."""
     rng = make_rng(3)
     v = rng.random(prod.n_states)
-    return AlphaPolicy([v, v, rng.random(prod.n_states)], [1, 0, 0], gamma=prod.stopping.gamma)
+    return AlphaPolicy([v, v, rng.random(prod.n_states)], [1, 0, 0])
 
 
 def stationary_policy(prod, lam):
     reward, _, _ = scalarize(prod, lam, 0.2)
-    return solve_discounted(prod, reward, prod.stopping.gamma, CFG)
+    gamma = prod.stopping.gamma
+    return solve_discounted(prod, reward, gamma, CFG, expand_beliefs_random_walk(prod, CFG, gamma))
 
 
 GEOMETRIC = {
@@ -79,7 +80,7 @@ def assert_same_runs(prod, policies, n=40, seed=17):
         for field in ("states", "actions", "observations", "rewards"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and np.array_equal(a, b), (i, field)
-        assert prod.final_satisfied(got) == dfa_accepts_run(prod, want)
+        assert prod.accepts_at_stop[got.state_list[-1]] == dfa_accepts_run(prod, want)
         lengths.append(len(got))
     return lengths
 
@@ -87,7 +88,8 @@ def assert_same_runs(prod, policies, n=40, seed=17):
 def test_geometric_runs_match_reference(geometric_case):
     name, prod, policy = geometric_case
     A = prod.n_actions
-    lengths = assert_same_runs(prod, lambda: (FixedActionPolicy(A - 1),) * 2)
+    always_last = AlphaPolicy(np.zeros((1, prod.n_states)), [A - 1])
+    lengths = assert_same_runs(prod, lambda: (always_last,) * 2)
     lengths += assert_same_runs(prod, lambda: (RandomPolicy(A, 5), RandomPolicy(A, 5)))
     lengths += assert_same_runs(prod, lambda: (policy, ReferenceAlphaAction(policy)))
     ties = tie_policy(prod)
@@ -109,7 +111,8 @@ def test_fixed_horizon_runs_match_reference(fixed_case):
     prod, policy = fixed_case
     assert policy.kind == "time_indexed"
     A = prod.n_actions
-    for lengths in (assert_same_runs(prod, lambda: (FixedActionPolicy(1),) * 2),
+    always_1 = AlphaPolicy(np.zeros((1, prod.n_states)), [1])
+    for lengths in (assert_same_runs(prod, lambda: (always_1,) * 2),
                     assert_same_runs(prod, lambda: (RandomPolicy(A, 9), RandomPolicy(A, 9))),
                     assert_same_runs(prod, lambda: (policy, ReferenceAlphaAction(policy)))):
         assert set(lengths) == {41}
