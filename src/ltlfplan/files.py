@@ -31,9 +31,19 @@ def read_text(path, error: type[Exception], what: str) -> str:
 
 def read_json(path, error: type[Exception], what: str):
     """The document in ``path``; ``error`` naming the ``what`` file when it
-    cannot be read or is not valid JSON."""
+    cannot be read, is not valid JSON or names one key twice in an object
+    (which ``json.loads`` alone would resolve silently to the last value)."""
+
+    def members(pairs: list) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise error(f"{what} file {path} repeats key {key!r} in one object")
+            doc[key] = value
+        return doc
+
     try:
-        return json.loads(read_text(path, error, what))
+        return json.loads(read_text(path, error, what), object_pairs_hook=members)
     except json.JSONDecodeError as exc:
         raise error(f"{what} file {path} is not valid JSON: {exc}") from None
 

@@ -202,26 +202,51 @@ def expand_beliefs_random_walk(prod, cfg: SolverConfig, gamma: float) -> np.ndar
 
     Restarts mimic episode ends (probability 1-gamma per step).  A step's
     belief is admitted unless it lies within BELIEF_GAP (L1) of one already
-    held.  The walk stops once cfg.n_beliefs are held or after
-    200 * cfg.n_beliefs steps, whichever comes first; it does not stop when
-    it finds nothing new, so a model with fewer reachable beliefs than
-    n_beliefs always walks the full 200 * n_beliefs steps.
+    held.  The walk stops once cfg.n_beliefs are held, after
+    200 * cfg.n_beliefs steps, or once the held set is closed, whichever
+    comes first.  The set is closed when the walk's current belief and
+    every Bayes successor of every held belief (each action, each
+    observation with mass, by ``predict`` and ``condition`` as the walk
+    steps) are held bit for bit.  A restart lands on an initial posterior,
+    each of which was admitted first or equals one that was, so every later
+    step then lands on a held belief (or one of equal value), which is never
+    admitted: the walk returns what it would have returned after all its
+    steps.  Closure is checked once per cfg.n_beliefs steps in a row that
+    admit nothing, and each held belief's successors are computed once, so
+    a walk that keeps admitting pays next to nothing for it; a model with
+    fewer reachable beliefs than n_beliefs stops soon after it holds them all.
     """
     rng = make_rng(derive_seed(cfg.expansion_seed, 0xB))
     seeds = [b for _, _, b in initial_beliefs(prod)]
     beliefs: list[np.ndarray] = []
     for b in seeds:
         _add_belief(beliefs, b, 0.0)
+    held = {b.tobytes() for b in beliefs}
+    successors = set()  # bits of the Bayes successors of beliefs[:expanded]
+    expanded = 0
+    stall = 0  # steps since the last admission
     b = seeds[0]
     for _ in range(200 * cfg.n_beliefs):
         if len(beliefs) >= cfg.n_beliefs:
             break
+        if stall and stall % cfg.n_beliefs == 0:
+            for kept in beliefs[expanded:]:
+                for a in range(prod.n_actions):
+                    predicted = predict(prod, kept, a)
+                    successors.update(condition(prod, predicted, o).tobytes()
+                                      for o in np.nonzero(predicted @ prod.Z > 0)[0])
+            expanded = len(beliefs)
+            if b.tobytes() in held and successors <= held:
+                break
+        stall += 1
         if rng.random() < 1.0 - gamma:
             b = seeds[int(rng.integers(len(seeds)))]
             continue
         predicted = predict(prod, b, int(rng.integers(prod.n_actions)))
         b = condition(prod, predicted, _categorical(rng, predicted @ prod.Z))
-        _add_belief(beliefs, b, BELIEF_GAP)
+        if _add_belief(beliefs, b, BELIEF_GAP):
+            held.add(b.tobytes())
+            stall = 0
     return np.vstack(beliefs)
 
 

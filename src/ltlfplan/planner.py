@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pbvi
+from . import pbvi, product
 from .files import write_csv, write_json
 from .pbvi import (
     SolverConfig, mdp_q_table, mdp_upper_bound, solve_discounted, solve_finite_horizon,
@@ -203,14 +203,16 @@ _SELECT_STREAM = 0x5E1EC7
 _WINDOW = 256  # rollouts whose head rows (and mixture picks) come from one draw
 
 
-def rollouts(policy, prod: ProductPomdp, seed: int, n: int):
+def rollouts(policy, prod: ProductPomdp, seed: int, n: int, full: bool = True):
     """Rollouts 0 .. n - 1 of key ``seed`` under ``policy``, in order; rollout
     i depends on (seed, i) alone.  A MixedPolicy picks rollout i's pure policy
     from its ``selection`` table with double i of make_rng(derive_seed(seed,
     _SELECT_STREAM)), a stream apart from the runs', so a degenerate mixture
     repeats its policy's runs; the run is rollout i of key ``seed``
-    (``sample_trajectory``).  Each window of ``_WINDOW`` rollouts draws its
-    head rows, and its picks, at once, and all n share one RolloutCache."""
+    (``sample_trajectory``, one call per rollout), a Trajectory, or with
+    ``full`` False an Outcome of the same run.  Each window of ``_WINDOW``
+    rollouts draws its head rows, and its picks, at once, and all n share one
+    RolloutCache."""
     cache = RolloutCache()
     select = derive_seed(seed, _SELECT_STREAM) if isinstance(policy, MixedPolicy) else None
     for start in range(0, n, _WINDOW):
@@ -220,31 +222,38 @@ def rollouts(policy, prod: ProductPomdp, seed: int, n: int):
             policy.policies[_pick(policy.selection, u)]
             for u in cache.draw(select, start, rows, 1).ravel().tolist()]
         for i, head, pure in zip(range(start, start + rows), heads, pures):
-            yield prod.simulate(pure, seed, cache, i, head.tolist())
+            # looked up on the module, so a patched (e.g. traced) simulator is the one called
+            yield product.sample_trajectory(prod, pure, seed, cache, i, head.tolist(), full=full)
 
 
 def mc_evaluate(policy, prod: ProductPomdp, n: int, seed: int) -> EvalResult:
     """Estimate cumulative step reward and satisfaction probability from
     ``rollouts(policy, prod, seed, n)``, so rollout i is the same in every
-    evaluation of more than i rollouts.  A run's total is numpy's pairwise
-    ``rewards.sum()``, whose rounding the estimates keep.  The runs of each
-    window of ``_WINDOW`` are summed by length, one ``sum(axis=1)`` over the
-    C-contiguous rows of each length, and numpy reduces each such row exactly
-    as the row alone.  Runs are read as lists: no trajectory array is built."""
+    evaluation of more than i rollouts.  The runs are Outcomes: only their
+    rewards and last states are read, so no other column is recorded.  A
+    run's total is numpy's pairwise ``rewards.sum()``, whose rounding the
+    estimates keep.  The runs of each window of ``_WINDOW`` are summed by
+    length, one ``sum(axis=1)`` over the C-contiguous rows of each length,
+    and numpy reduces each such row exactly as the row alone."""
     if n < 1:
         raise ValueError("need at least one rollout")
-    totals, finals = np.empty(n), np.empty(n)
+    totals = np.empty(n)
     accepts = prod.accepts_at_stop.tolist()
+    finals = []
     window = {}  # run length -> (rollout indices, reward lists) since the last flush
-    for i, traj in enumerate(rollouts(policy, prod, seed, n)):
-        finals[i] = accepts[traj.state_list[-1]]
-        index, rows = window.setdefault(len(traj), ([], []))
-        index.append(i)
-        rows.append(traj.reward_list)
+    for i, run in enumerate(rollouts(policy, prod, seed, n, full=False)):
+        finals.append(accepts[run.last_state])
+        rewards = run.reward_list
+        group = window.get(len(rewards))
+        if group is None:
+            group = window[len(rewards)] = ([], [])
+        group[0].append(i)
+        group[1].append(rewards)
         if (i + 1) % _WINDOW == 0 or i + 1 == n:
             for index, rows in window.values():
                 totals[index] = np.array(rows).sum(axis=1)
             window.clear()
+    finals = np.array(finals, dtype=np.float64)
     r_se, p_se = (float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0 for x in (totals, finals))
     return EvalResult(float(totals.mean()), float(finals.mean()), r_se, p_se, n)
 

@@ -222,6 +222,20 @@ class Trajectory:
         return len(self.state_list)
 
 
+class Outcome:
+    """What an evaluation reads of one run: its per-step rewards
+    (``reward_list``, t = 0..T) and the state it stopped in (``last_state``);
+    its length is the run's step count, as a Trajectory's is."""
+
+    __slots__ = ("reward_list", "last_state")
+
+    def __init__(self, rewards: list[float], last_state: int):
+        self.reward_list, self.last_state = rewards, last_state
+
+    def __len__(self) -> int:
+        return len(self.reward_list)
+
+
 class RandomPolicy:
     """Uniform random actions from an internal counter-based stream."""
 
@@ -330,6 +344,8 @@ class RolloutCache:
         self._key = self._state["state"]["key"]
         self._counter = self._state["state"]["counter"]
         self.model = None
+        self.run_tables: tuple | None = None              # what begin resolved of the model
+        self._max_beliefs = 0                             # beliefs the budget lets it hold
         self._ids: dict[bytes, int] = {}
         self._start: dict[int, int] = {}                  # o0 -> id
         self._bits: list[bytes] = []                      # id -> the belief's float64 bits
@@ -375,10 +391,20 @@ class RolloutCache:
         return self._rng
 
     def begin(self, model) -> None:
-        """Start a rollout on ``model``."""
-        if self.model is not model or self.n_beliefs * model.n_states > CACHE_FLOATS:
+        """Start a rollout on ``model``.  (Re)binding the cache to a model
+        resolves, once, what every run reads of it (``run_tables``): the
+        ``sampling`` tables' initial, observe, transition and rewards, the
+        geometric stop probability 1 - gamma (None under fixed stopping),
+        the fixed T (None under geometric stopping) and the observation count."""
+        if self.model is not model or len(self._bits) > self._max_beliefs:
             self.clear()
             self.model = model
+            self._max_beliefs = CACHE_FLOATS // model.n_states  # more hold > CACHE_FLOATS floats
+            tables, stopping = model.sampling, model.stopping
+            geometric = stopping.kind == "geometric"
+            self.run_tables = (tables.initial, tables.observe, tables.transition, tables.rewards,
+                               1.0 - stopping.gamma if geometric else None,
+                               None if geometric else stopping.T, model.n_observations)
 
     def start(self, o0: int) -> int:
         b = self._start.get(o0)
@@ -406,7 +432,8 @@ class RolloutCache:
 
 
 def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = None,
-                      i: int = 0, head: list[float] | None = None) -> Trajectory:
+                      i: int = 0, head: list[float] | None = None,
+                      full: bool = True) -> Trajectory | Outcome:
     """Simulate rollout i of key ``seed`` under the model's stopping rule.
 
     Draw order per step t is fixed for reproducibility: stop flag (geometric
@@ -417,33 +444,36 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
     64i .. 64i + 63 of make_rng(seed) (``head``, the row ``planner.rollouts``
     drew in bulk, else ``cache.draw`` reads it alone), then its tail, the counter
     line i + 1 of the same key (``cache.tail``), 64 doubles at a time.  Each
-    uniform picks with ``_pick`` on the model's ``sampling`` tables.  Beliefs,
-    stationary actions and the generator come from ``cache``, a fresh one
-    when None; the run is the same with any cache.  The run keeps the step
-    loop's lists, and past its head row the loop calls numpy only for the tail.
+    uniform picks with ``_pick`` on the tables ``cache.begin`` resolved from
+    the model.  Beliefs, stationary actions and the generator come from
+    ``cache``, a fresh one when None; the run is the same with any cache.
+
+    With ``full`` (the default) the run is a Trajectory of the step loop's
+    per-step lists.  Otherwise it is an Outcome, the reward list and the last
+    state, which is all an evaluation reads: the loop then records no state,
+    action or observation column.  Both draw and pick alike, so an Outcome's
+    rewards and last state are those of the full run.  Past its head row the
+    loop calls numpy only for the tail.
     """
     if cache is None:
         cache = RolloutCache()
     cache.begin(model)
-    tables = model.sampling
+    initial, observe, transition, step_reward, stop_prob, T, n_obs = cache.run_tables
     u = cache.draw(seed, i, 1)[0].tolist() if head is None else head
     random = None  # the tail's draw, once the head runs short
     last = _CHUNK - 3  # the last index at which a step finds its (at most) 3 uniforms
-    observe, transition, step_reward = tables.observe, tables.transition, tables.rewards
-    stopping = model.stopping
-    geometric = stopping.kind == "geometric"
-    stop_prob = 1.0 - stopping.gamma if geometric else None
+    geometric = stop_prob is not None
     memo = getattr(policy, "kind", None) == "stationary"
-
     successors, known = cache.successors, cache.actions
-    n_obs = model.n_observations
 
-    s = _pick(tables.initial, u[0])
+    s = _pick(initial, u[0])
     o = _pick(observe[s], u[1])
     k = 2  # index of the next unread uniform
     b = cache.start(o)  # the belief's id
 
-    states, actions, observations, rewards = [], [], [], []
+    rewards = []
+    if full:
+        states, actions, observations = [], [], []
     t = 0
     while True:
         if k > last:
@@ -455,16 +485,17 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
             stop = u[k] < stop_prob
             k += 1
         else:
-            stop = t == stopping.T
+            stop = t == T
         if memo:
             a = known[b].get(policy)
             if a is None:
                 a = known[b][policy] = int(policy.action(cache.belief(b), t))
         else:
             a = int(policy.action(cache.belief(b), t))
-        states.append(s)
-        actions.append(a)
-        observations.append(o)
+        if full:
+            states.append(s)
+            actions.append(a)
+            observations.append(o)
         rewards.append(step_reward[s][a])
         if stop:
             break
@@ -474,7 +505,9 @@ def sample_trajectory(model, policy, seed: int, cache: RolloutCache | None = Non
         nxt = successors[b].get(a * n_obs + o)
         b = cache.add_successor(b, a, o) if nxt is None else nxt
         t += 1
-    return Trajectory(states, actions, observations, rewards)
+    if full:
+        return Trajectory(states, actions, observations, rewards)
+    return Outcome(rewards, s)
 
 
 # --------------------------------------------------------------------------

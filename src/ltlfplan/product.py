@@ -14,13 +14,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import pomdp
 from .dfa import Dfa, compile_minimal_dfa, dfa_from_dict, dfa_to_dict
 from .files import json_list, read_json, write_json
 from .ltlf import parse_formula
 from .pomdp import (
-    LOAD_ATOL, LabeledPomdp, ModelError, RolloutCache, Trajectory, _typed, model_from_dict,
-    model_to_dict, sample_trajectory,
+    LOAD_ATOL, LabeledPomdp, ModelError, Trajectory, _typed, model_from_dict, model_to_dict,
 )
+
+# Product runs are plain POMDP runs.  planner.rollouts samples each one
+# through this module attribute, so patching it here (as perfbench's tracer
+# does to count rollouts and steps) sees every rollout of an evaluation.
+sample_trajectory = pomdp.sample_trajectory
 
 
 class ProductPomdp(LabeledPomdp):
@@ -65,11 +70,6 @@ class ProductPomdp(LabeledPomdp):
         self.accepts_at_stop = accepting[qnext]
         for arr in (self.pairs, self.r_final, self.accepts_at_stop):
             arr.setflags(write=False)
-
-    def simulate(self, policy, seed: int, cache: RolloutCache | None = None, i: int = 0,
-                 head: list[float] | None = None) -> Trajectory:
-        """Sample rollout i of ``seed`` on this product: a plain ``sample_trajectory`` run."""
-        return sample_trajectory(self, policy, seed, cache, i, head)
 
     def base_run(self, traj: Trajectory) -> np.ndarray:
         """Base-model state sequence embedded in a product trajectory."""

@@ -13,9 +13,11 @@ from ltlfplan.ltlf import (
     FALSE, TRUE, Always, And, Atom, Eventually, Implies, Next, Not, Or, Release,
     Until, WeakNext,
 )
+from ltlfplan.pbvi import BELIEF_GAP
 from ltlfplan.planner import _SELECT_STREAM
 from ltlfplan.pomdp import (
-    ImpossibleObservationError, LabeledPomdp, StoppingModel, Trajectory, derive_seed, make_rng,
+    ImpossibleObservationError, LabeledPomdp, StoppingModel, Trajectory, _categorical, condition,
+    derive_seed, initial_beliefs, make_rng, predict,
 )
 
 _LEAVES = ("atom", "true", "false")
@@ -150,6 +152,36 @@ def fully_observable(P, rewards, gamma=0.9, labels=None, atoms=("a",), stopping=
                         np.zeros(S, dtype=np.int64) if labels is None else np.asarray(labels),
                         np.asarray(rewards, dtype=float),
                         stopping or StoppingModel.geometric(gamma))
+
+
+# --------------------------------------------------------------------------
+# Reference belief walk (the library's walk must return its array bit for bit)
+# --------------------------------------------------------------------------
+
+def reference_random_walk(prod, cfg, gamma):
+    """``pbvi.expand_beliefs_random_walk`` without its closure stop: the walk
+    runs until it holds cfg.n_beliefs beliefs or has taken all its
+    200 * cfg.n_beliefs steps, whether or not a later step can admit one.
+    Steps and draws are the library walk's own (``predict``, ``condition``,
+    ``_categorical`` on the same stream)."""
+    rng = make_rng(derive_seed(cfg.expansion_seed, 0xB))
+    seeds = [b for _, _, b in initial_beliefs(prod)]
+    beliefs = []
+    for b in seeds:
+        if all(np.abs(held - b).sum() > 0.0 for held in beliefs):
+            beliefs.append(b)
+    b = seeds[0]
+    for _ in range(200 * cfg.n_beliefs):
+        if len(beliefs) >= cfg.n_beliefs:
+            break
+        if rng.random() < 1.0 - gamma:
+            b = seeds[int(rng.integers(len(seeds)))]
+            continue
+        predicted = predict(prod, b, int(rng.integers(prod.n_actions)))
+        b = condition(prod, predicted, _categorical(rng, predicted @ prod.Z))
+        if all(np.abs(held - b).sum() > BELIEF_GAP for held in beliefs):
+            beliefs.append(b)
+    return np.vstack(beliefs)
 
 
 # --------------------------------------------------------------------------

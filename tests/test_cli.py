@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import ltlfplan.cli
+import ltlfplan.product
 from ltlfplan.benchmarks import random_tiny_model, trajectory_table, twostate_constrained
 from ltlfplan.cli import main
 from ltlfplan.pbvi import AlphaPolicy, load_policy, save_policy
 from ltlfplan.planner import auto_eta
 from ltlfplan.pomdp import save_model
-from ltlfplan.product import ProductPomdp
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +217,8 @@ def test_fixed_horizon_solve_evaluate_and_trace(tmp_path, capsys):
 
 
 def test_trace_replays_rollout_zero_of_evaluate(tmp_path, model_file, monkeypatch):
+    """``trace`` writes the full run of rollout 0 of ``evaluate --seed``,
+    whose own run records only rewards and the last state."""
     out = tmp_path / "s"
     assert run("solve", "--model", model_file, "--spec", "F g", "--threshold", "0.75",
                "--B", "4", "--K", "1", "--simu", "8", "--n-beliefs", "6",
@@ -229,26 +231,35 @@ def test_trace_replays_rollout_zero_of_evaluate(tmp_path, model_file, monkeypatc
     (out / "mixture.json").write_text(json.dumps(
         {"weights": [0.5, 0.5], "policies": ["always_0.json", "always_1.json"]}))
     simulated = []
-    simulate = ProductPomdp.simulate
+    simulate = ltlfplan.product.sample_trajectory
 
-    def recording(prod, policy, seed, cache=None, i=0, head=None):
-        traj = simulate(prod, policy, seed, cache, i, head)
-        simulated.append((prod, traj))
-        return traj
+    def recording(prod, policy, *args, **kwargs):
+        run_ = simulate(prod, policy, *args, **kwargs)
+        simulated.append((prod, policy, run_))
+        return run_
 
-    monkeypatch.setattr(ProductPomdp, "simulate", recording)
+    monkeypatch.setattr(ltlfplan.product, "sample_trajectory", recording)
+    picked = set()
     for seed in range(8):
         simulated.clear()
         common = ["--model", model_file, "--spec", "F g", "--policy", str(out / "mixture.json"),
                   "--seed", str(seed)]
         assert run("evaluate", *common, "--rollouts", "1") == 0
-        prod, rollout0 = simulated[0]
+        (prod, policy, rollout0), = simulated
         tout = tmp_path / f"t{seed}"
         assert run("trace", *common, "--out", str(tout), "--quiet") == 0
+        (_, traced_policy, traced), = simulated[1:]
         with open(tout / "trace.csv", newline="") as fh:
-            traced = list(csv.DictReader(fh))
-        assert traced == [{k: str(v) for k, v in row.items()}
-                          for row in trajectory_table(prod, rollout0)]
+            rows = list(csv.DictReader(fh))
+        assert rows == [{k: str(v) for k, v in row.items()}
+                        for row in trajectory_table(prod, traced)]
+        action = prod.actions[policy.actions.item(0)]
+        picked.add(action)
+        assert traced_policy.actions.tolist() == policy.actions.tolist()
+        assert {row["a"] for row in rows} == {action}
+        assert [float(row["r"]) for row in rows] == rollout0.reward_list
+        assert traced.state_list[-1] == rollout0.last_state
+    assert picked == set(prod.actions)  # both pure policies were picked
 
 
 def test_evaluate_rejects_mismatched_policy(tmp_path, model_file):
@@ -444,6 +455,20 @@ def test_model_file_that_is_not_json_exits_3(tmp_path, capsys):
     assert run("product", "--model", str(path), "--spec", "F g",
                "--out", str(tmp_path / "p")) == 3
     assert capsys.readouterr().err.startswith("error: model file")
+
+
+def test_model_file_with_a_repeated_key_exits_3(tmp_path, model_file, capsys):
+    """A key named twice in one JSON object is refused, not resolved to its
+    last value: here ``observe`` lists "home" twice."""
+    text = json.dumps(json.loads(Path(model_file).read_text()))
+    home = '"observe": {"home": {"home": 1.0}'
+    assert home in text
+    path = tmp_path / "model.json"
+    path.write_text(text.replace(home, home + ', "home": {"goal": 1.0}'))
+    assert run("product", "--model", str(path), "--spec", "F g",
+               "--out", str(tmp_path / "p"), "--quiet") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: model file {path}") and "repeats key 'home'" in err
 
 
 def test_missing_model_file(tmp_path):

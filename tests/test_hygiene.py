@@ -6,7 +6,9 @@ import sits at module level, only ``product.py`` constructs a
 outside ``pomdp.py`` only ``planner.rollouts`` draws rollout heads and
 mixture picks, the body of ``pomdp.sample_trajectory`` names no ``np.``
 attribute, the body of ``planner.eg_solve`` names no solver function
-and reads no ``.stopping``, and every public top-level function and class
+and reads no ``.stopping``, ``planner.py`` reaches the simulator and the
+belief walk only through the module attributes perfbench's tracer patches,
+and every public top-level function and class
 is read somewhere in the package or the benchmark, or is listed in
 ``UNREAD_PUBLIC`` with its reason.
 
@@ -301,6 +303,46 @@ def test_the_check_sees_a_solver_read():
                      "def solve_at(prod):\n    return mdp_q_table(prod, prod.stopping)\n")
     assert sorted(set(solver_reads(tree, "eg_solve"))) == [3, 4, 5, 6]
     assert sorted(set(solver_reads(tree, "solve_at"))) == [9]
+
+
+# Functions perfbench/tracer.py patches on a module, so that the planner's
+# calls of them are counted and timed: name -> the module they are patched on.
+PATCHED = {"sample_trajectory": "product", "expand_beliefs_random_walk": "pbvi"}
+
+
+def reaches(tree):
+    """(line, reached as its patched module attribute) for each place that
+    names a function of PATCHED: as ``module.name`` with the module it is
+    patched on (True), or as a bare name, an import or an attribute of
+    anything else (False)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in PATCHED:
+            yield node.lineno, isinstance(node.value, ast.Name) \
+                and node.value.id == PATCHED[node.attr]
+        elif isinstance(node, ast.Name) and node.id in PATCHED \
+                or isinstance(node, ast.alias) and node.name in PATCHED:
+            yield node.lineno, False
+
+
+def test_planner_calls_the_simulator_and_the_walk_where_they_are_patched():
+    """planner.rollouts runs every rollout through product.sample_trajectory
+    and planner.solve_at walks through pbvi.expand_beliefs_random_walk, the
+    attributes the tracer patches; a name bound another way would escape it."""
+    found = list(reaches(ast.parse((SRC / "planner.py").read_text())))
+    bypass = sorted({line for line, patched in found if not patched})
+    assert not bypass, f"planner.py reaches a patched function another way at lines {bypass}"
+    assert sum(patched for _, patched in found) == len(PATCHED)
+
+
+def test_the_check_sees_a_reach_past_the_patch():
+    tree = ast.parse("from . import pbvi, pomdp, product\nfrom .pomdp import sample_trajectory\n"
+                     "def rollouts(prod, policy):\n    yield sample_trajectory(prod, policy, 0)\n"
+                     "    yield product.sample_trajectory(prod, policy, 0)\n"
+                     "    yield pomdp.sample_trajectory(prod, policy, 0)\n"
+                     "walk = pbvi.expand_beliefs_random_walk\n"
+                     "from .pbvi import expand_beliefs_random_walk as walk\n")
+    assert sorted(set(reaches(tree))) == [(2, False), (4, False), (5, True), (6, False),
+                                          (7, True), (8, False)]
 
 
 # Public top-level functions and classes that nothing in src/ltlfplan or

@@ -22,12 +22,12 @@ from ltlfplan.pbvi import (
 )
 from ltlfplan.planner import scalarize
 from ltlfplan.pomdp import LabeledPomdp, StoppingModel, derive_seed, make_rng, sample_trajectory
-from ltlfplan.product import build_product
+from ltlfplan.product import build_product, constrained_product
 from ltlfplan.benchmarks import PRESETS, build_instance, random_tiny_model, twostate_constrained
 
 from helpers import (
     deterministic_chain, fully_observable, mdp_value_iteration_discounted,
-    mdp_value_iteration_finite, uninformative_two_state,
+    mdp_value_iteration_finite, reference_random_walk, uninformative_two_state,
 )
 
 
@@ -38,6 +38,11 @@ def product_of(model, spec_text):
 
 def trivial_product(model):
     return product_of(model, "true")
+
+
+def twostate_product():
+    """The pruned product of the two-state instance at gamma 0.9, spec F g."""
+    return constrained_product(*twostate_constrained(0.9))
 
 
 def walked_solve(prod, reward, gamma, cfg):
@@ -127,10 +132,66 @@ def test_solver_deterministic():
     assert np.array_equal(p1.alphas, p2.alphas)
 
 
+# --------------------------------------------------------------------------
+# Belief walk
+# --------------------------------------------------------------------------
+
+def drifting_two_state():
+    """The uninformative two-state model started in s0: its beliefs drift
+    toward (0.5, 0.5) through infinitely many distinct values, so the walk
+    stalls once they lie within BELIEF_GAP of held ones, yet a later step
+    can still reach a belief no held one is bit for bit."""
+    m = uninformative_two_state(stopping=StoppingModel.geometric(0.9))
+    return LabeledPomdp(m.name, m.states, m.actions, m.observations, m.P, m.Z, [1.0, 0.0],
+                        m.atoms, m.labels, m.rewards, m.stopping)
+
+
+WALKS = {
+    "twostate": twostate_product,  # 4 reachable beliefs: a closed set
+    "fully_observable": lambda: product_of(fully_observable(
+        [[(0.5, 0.5, 0.0), (0.1, 0.2, 0.7)], [(0.0, 0.6, 0.4), (0.8, 0.0, 0.2)],
+         [(0.3, 0.3, 0.4), (0.0, 0.0, 1.0)]], np.zeros((3, 2)), labels=[0, 0, 1]), "F a"),
+    "uninformative": lambda: trivial_product(  # one belief, (0.5, 0.5): closed at once
+        uninformative_two_state(stopping=StoppingModel.geometric(0.9))),
+    "drift": lambda: trivial_product(drifting_two_state()),  # stalls, but never closed
+    "M1": lambda: build_instance("M1"),
+}
+
+
+@pytest.mark.parametrize("n_beliefs, seed", [(8, 1), (12, 2), (60, 3)])
+@pytest.mark.parametrize("case", sorted(WALKS))
+def test_walk_returns_the_full_walks_beliefs(case, n_beliefs, seed):
+    """The closure stop changes no bit of the returned belief array."""
+    prod = WALKS[case]()
+    cfg = SolverConfig(n_beliefs=n_beliefs, expansion_seed=seed)
+    got = expand_beliefs_random_walk(prod, cfg, prod.stopping.gamma)
+    want = reference_random_walk(prod, cfg, prod.stopping.gamma)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_walk_stops_once_its_set_is_closed(monkeypatch):
+    """The two-state product holds all 4 of its beliefs within a few dozen
+    steps, and the walk ends soon after, far short of its 200 * n_beliefs
+    step cap; each predictive step, and each closure successor, is one
+    ``predict`` call."""
+    calls = []
+    step = pbvi.predict
+
+    def counting(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(pbvi, "predict", counting)
+    cfg = SolverConfig(n_beliefs=12, expansion_seed=1)
+    assert len(expand_beliefs_random_walk(twostate_product(), cfg, 0.9)) == 4
+    assert 0 < len(calls) < 200 * cfg.n_beliefs // 20
+
+
 # sha256 of a solve's alpha matrix bytes, action bytes, round count and
 # converged flag (per stage for the finite-horizon case): any change to which
 # vectors a round backs up or keeps, or to a single bit of one, changes a
-# digest.  Preset rows are their pruned products at lam = B/2, solved cold.
+# digest.  Preset rows, and the two-state instance perfbench's twostate_eg
+# runs, are their pruned products at lam = B/2, solved cold.
 # The digests are taken with BLAS on one thread, as perfbench runs: with two
 # OpenBLAS threads the point values beliefs @ mat.T differ in the last bit,
 # and M1's digest changes.
@@ -140,6 +201,7 @@ SOLVER_DIGESTS = {
     "M7": "e47f4a111cdfd952cc3b9087352c45b7076e33343cf5b7d0dc2c3d3a57d4fcc2",
     "M9": "da3727b728a71a25a9c4e1737e09a320377e91cbf7cbad52e1f267063a52698f",
     "finite": "b1222bf7943ca2c25aec608ac1fcd7b27c601f0c2586d628527e5f748fe3cc13",
+    "twostate": "7584381bac781e521312a9ea5f738daeaa60ec54349dc89a2bd80d6a39b2b591",
 }
 
 
@@ -157,10 +219,16 @@ def solver_digest(case):
                                       terminal=0.7 * prod.r_final)
         stages = [(stage, None) for stage in policy]
     else:
-        prod, preset = build_instance(case), PRESETS[case]
-        reward, _, _ = scalarize(prod, preset.B / 2, 1.0 - preset.threshold)
-        policy = walked_solve(prod, reward, prod.stopping.gamma,
-                              SolverConfig(expansion_seed=1, max_backup_rounds=60))
+        if case == "twostate":  # perfbench's twostate_eg instance and solver config
+            prod, lam, delta = twostate_product(), 2.0, 0.25
+            cfg = SolverConfig(n_beliefs=12, max_backup_rounds=500, bellman_tolerance=1e-8,
+                               expansion_seed=1)
+        else:
+            prod, preset = build_instance(case), PRESETS[case]
+            lam, delta = preset.B / 2, 1.0 - preset.threshold
+            cfg = SolverConfig(expansion_seed=1, max_backup_rounds=60)
+        reward, _, _ = scalarize(prod, lam, delta)
+        policy = walked_solve(prod, reward, prod.stopping.gamma, cfg)
         stages = [(policy, policy.stats["rounds"])]
     for stage, rounds in stages:
         digest.update(stage.alphas.tobytes())

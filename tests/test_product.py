@@ -4,6 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+import ltlfplan.product
 from ltlfplan.benchmarks import (
     PRESETS, build_instance, make_model, make_spec, random_tiny_model,
 )
@@ -174,15 +175,18 @@ def test_final_state_replay_consistency(m1_product):
         assert prod.accepts_at_stop[traj.state_list[-1]] == (dfa.run(word) in dfa.accepting)
 
 
-def test_simulate_is_a_plain_pomdp_run(m1_product):
+def test_product_runs_are_plain_pomdp_runs(m1_product):
+    """planner.rollouts samples product runs through product.sample_trajectory,
+    which is the POMDP simulator itself; its Outcome of a run has that run's
+    rewards and last state."""
     _, _, prod = m1_product
-    got = prod.simulate(RandomPolicy(prod.n_actions, seed=9), seed=derive_seed(10))
-    want = sample_trajectory(prod, RandomPolicy(prod.n_actions, seed=9), seed=derive_seed(10))
-    assert vars(got).keys() == vars(want).keys() == {"state_list", "action_list",
-                                                     "observation_list", "reward_list"}
-    for field in ("states", "actions", "observations", "rewards"):
-        assert getattr(got, field[:-1] + "_list") == getattr(want, field[:-1] + "_list")
-        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert ltlfplan.product.sample_trajectory is sample_trajectory
+    full = sample_trajectory(prod, RandomPolicy(prod.n_actions, seed=9), seed=derive_seed(10))
+    assert vars(full).keys() == {"state_list", "action_list", "observation_list", "reward_list"}
+    lean = sample_trajectory(prod, RandomPolicy(prod.n_actions, seed=9), seed=derive_seed(10),
+                             full=False)
+    assert (lean.reward_list, lean.last_state, len(lean)) == \
+        (full.reward_list, full.state_list[-1], len(full))
 
 
 def base_words(prod):

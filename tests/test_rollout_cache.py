@@ -3,8 +3,9 @@
 Runs through one shared cache equal fresh runs (each with its own cache) and
 the reference simulator in ``helpers`` field by field; the cache's positioned
 draws reproduce the pinned Philox streams; and rollout i of an evaluation,
-which ``planner.rollouts`` yields, is the lone ``sample_trajectory(prod, pure,
-seed, i=i)`` of the pure policy it picked, whatever the evaluation's size.
+which ``planner.rollouts`` yields as an Outcome, has the rewards and the last
+state of the lone ``sample_trajectory(prod, pure, seed, i=i)`` of the pure
+policy it picked, whatever the evaluation's size.
 """
 
 import hashlib
@@ -20,8 +21,8 @@ from ltlfplan.pbvi import (
 )
 from ltlfplan.planner import MixedPolicy, mc_evaluate, scalarize
 from ltlfplan.pomdp import (
-    _CHUNK, LabeledPomdp, RandomPolicy, RolloutCache, StoppingModel, derive_seed, make_rng,
-    sample_trajectory,
+    _CHUNK, LabeledPomdp, Outcome, RandomPolicy, RolloutCache, StoppingModel, derive_seed,
+    make_rng, sample_trajectory,
 )
 from ltlfplan.product import constrained_product
 
@@ -177,7 +178,7 @@ def assert_cache_changes_nothing(prod, triples, cache, n=60, seed=31):
     steps = 0
     for i in range(n):
         shared, fresh, ref = triples(i)
-        got = prod.simulate(shared, seed, cache, i)
+        got = sample_trajectory(prod, shared, seed, cache, i)
         for want in (sample_trajectory(prod, fresh, seed, i=i),
                      reference_sample_trajectory(prod, ref, seed, i)):
             for field in ("states", "actions", "observations", "rewards"):
@@ -268,9 +269,9 @@ def test_mc_evaluate_makes_one_simulator_call_per_rollout(m7, monkeypatch):
     calls = []
     simulate = ltlfplan.product.sample_trajectory
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return simulate(*args)
+        return simulate(*args, **kwargs)
 
     monkeypatch.setattr(ltlfplan.product, "sample_trajectory", counting)
     for policy in (policies[0], MixedPolicy(policies, [0.2, 0.3, 0.5])):
@@ -289,18 +290,20 @@ def recorded(monkeypatch):
     runs = []
     simulate = ltlfplan.product.sample_trajectory
 
-    def recording(model, policy, *args):
-        traj = simulate(model, policy, *args)
-        runs.append((policy, traj))
-        return traj
+    def recording(model, policy, *args, **kwargs):
+        run = simulate(model, policy, *args, **kwargs)
+        runs.append((policy, run))
+        return run
 
     monkeypatch.setattr(ltlfplan.product, "sample_trajectory", recording)
     return runs
 
 
-def same_run(a, b) -> bool:
-    return all(np.array_equal(getattr(a, field), getattr(b, field))
-               for field in ("states", "actions", "observations", "rewards"))
+def same_outcome(full, outcome) -> bool:
+    """Whether an evaluation's Outcome has the rewards and the last state of
+    the full run ``full``."""
+    return type(outcome) is Outcome and outcome.reward_list == full.reward_list \
+        and outcome.last_state == full.state_list[-1]
 
 
 @pytest.mark.parametrize("kind", ["pure", "mixture"])
@@ -316,23 +319,24 @@ def test_a_lone_rollout_is_rollout_i_of_an_evaluation(m7, recorded, kind):
     assert sum(len(traj) >= 22 for _, traj in inside) > n // 2  # 3 uniforms a step past s0, o0
     for i in (0, 255, 256, 257, n - 1):
         picked, run = inside[i]
-        assert same_run(sample_trajectory(prod, picked, 41, i=i), run), i
+        assert same_outcome(sample_trajectory(prod, picked, 41, i=i), run), i
 
 
 @pytest.mark.parametrize("kind", ["pure", "mixture"])
 def test_mc_evaluate_builds_no_trajectory_array(m7, recorded, kind):
-    """Runs are read as lists, and the length-grouped totals are each run's
-    own ``rewards.sum()``: r_hat is their mean, bit for bit."""
+    """Runs are Outcomes, a reward list and a last state, and the
+    length-grouped totals are each run's own ``rewards.sum()``: r_hat is
+    their mean, bit for bit."""
     prod, policies = m7
     policy = policies[0] if kind == "pure" else MixedPolicy(policies, [0.5, 0.3, 0.2])
     n = 300
     est = mc_evaluate(policy, prod, n, seed=43)
-    runs = [traj for _, traj in recorded]
-    assert len(runs) == n and len({len(traj) for traj in runs}) > 20
-    assert not [i for i, traj in enumerate(runs)
-                if any(isinstance(v, np.ndarray) for v in vars(traj).values())]
-    assert est.r_hat == float(np.array([traj.rewards.sum() for traj in runs]).mean())
-    assert est.p_hat == float(np.mean([prod.accepts_at_stop[run.state_list[-1]] for run in runs]))
+    runs = [run for _, run in recorded]
+    assert len(runs) == n and len({len(run) for run in runs}) > 20
+    assert not [i for i, run in enumerate(runs)
+                if type(run) is not Outcome or type(run.reward_list) is not list]
+    assert est.r_hat == float(np.array([np.array(run.reward_list).sum() for run in runs]).mean())
+    assert est.p_hat == float(np.mean([prod.accepts_at_stop[run.last_state] for run in runs]))
 
 
 def test_evaluations_of_different_sizes_share_their_runs(m7, recorded):
@@ -343,7 +347,8 @@ def test_evaluations_of_different_sizes_share_their_runs(m7, recorded):
     recorded.clear()
     mc_evaluate(mixture, prod, 40, seed=42)
     assert len(recorded) == 40
-    assert all(p is q and same_run(a, b) for (p, a), (q, b) in zip(recorded, larger))
+    assert all(p is q and a.reward_list == b.reward_list and a.last_state == b.last_state
+               for (p, a), (q, b) in zip(recorded, larger))
 
 
 def test_head_rows_and_picks_come_in_bounded_windows(monkeypatch):

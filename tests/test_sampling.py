@@ -11,7 +11,7 @@ from ltlfplan.pbvi import (
 from ltlfplan.planner import MixedPolicy, mc_evaluate, scalarize
 from ltlfplan.pomdp import (
     LOAD_ATOL, LabeledPomdp, RandomPolicy, StoppingModel, _categorical,
-    _inverse_cdfs, _pick, derive_seed, make_rng,
+    _inverse_cdfs, _pick, derive_seed, make_rng, sample_trajectory,
 )
 from ltlfplan.product import constrained_product
 
@@ -71,15 +71,20 @@ def fixed_case():
 
 
 def assert_same_runs(prod, policies, n=40, seed=17):
-    """policies() returns a fresh (library policy, reference policy) pair."""
+    """policies() returns a fresh (library policy, reference policy) pair.
+    The full run equals the reference run field by field, and the Outcome of
+    the same rollout (a fresh library policy's) has its rewards and last state."""
     lengths = []
     for i in range(n):
         mine, ref = policies()
-        got = prod.simulate(mine, derive_seed(seed, i))
+        got = sample_trajectory(prod, mine, derive_seed(seed, i))
         want = reference_sample_trajectory(prod, ref, derive_seed(seed, i))
         for field in ("states", "actions", "observations", "rewards"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and np.array_equal(a, b), (i, field)
+        outcome = sample_trajectory(prod, policies()[0], derive_seed(seed, i), full=False)
+        assert outcome.reward_list == want.rewards.tolist(), i
+        assert outcome.last_state == want.states[-1] and len(outcome) == len(want), i
         assert prod.accepts_at_stop[got.state_list[-1]] == dfa_accepts_run(prod, want)
         lengths.append(len(got))
     return lengths
@@ -103,7 +108,7 @@ def test_zero_column_product_never_emits_the_column():
     prod = GEOMETRIC["zero_z_column"]()
     assert not prod.Z[:, 0].any() and not prod.Z[:, 2].any()
     for i in range(50):
-        traj = prod.simulate(RandomPolicy(prod.n_actions, i), derive_seed(4, i))
+        traj = sample_trajectory(prod, RandomPolicy(prod.n_actions, i), derive_seed(4, i))
         assert not np.isin(traj.observations, [0, 2]).any()
 
 
