@@ -306,7 +306,8 @@ def compile_dfa(formula: Formula, atoms: Sequence[str] | None = None, name: str 
     """Breadth-first progression fixpoint from the canonical form of the formula.
 
     Each state is a distinct canonical key; delta(state, letter) is the
-    canonical form of the progressed state; a state accepts iff its residual
+    canonical form of the progressed state, computed once per distinct
+    progressed formula in a compile; a state accepts iff its residual
     holds on the empty word.  Termination: keys live in the finite boolean
     closure over the formula's temporal atoms (including the F true marker).
     More than STATE_BUDGET states raise DfaBudgetError.
@@ -320,14 +321,18 @@ def compile_dfa(formula: Formula, atoms: Sequence[str] | None = None, name: str 
     n_letters = 1 << len(atoms)
     letter_sets = [frozenset(a for i, a in enumerate(atoms) if m >> i & 1) for m in range(n_letters)]
 
-    key0, rep0 = canonical_form(formula)
+    forms = {formula: canonical_form(formula)}  # formula -> its canonical form
+    key0, rep0 = forms[formula]
     index = {key0: 0}
     reps = [rep0]
     rows: list[list[int]] = []
     for rep in reps:  # reps grows as states are found: state q's row is rows[q]
         row = []
         for sigma in letter_sets:
-            key, rep_next = canonical_form(_progress(rep, sigma))
+            residual = _progress(rep, sigma)
+            if residual not in forms:
+                forms[residual] = canonical_form(residual)
+            key, rep_next = forms[residual]
             nxt = index.get(key)
             if nxt is None:
                 nxt = len(reps)

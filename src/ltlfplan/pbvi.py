@@ -35,6 +35,7 @@ from .files import json_list, read_json, write_json
 from .pomdp import _categorical, condition, derive_seed, initial_beliefs, make_rng, predict
 
 BELIEF_GAP = 1e-2  # L1 distance below which a sampled belief is not admitted
+UPPER_SLACK = 1e-3  # mdp_q_table's error bound at its stop, as a share of the value span
 ORACLE_MAX_TREE = 200_000  # largest history tree exact_value_oracle will recurse through
 
 
@@ -90,17 +91,19 @@ class AlphaPolicy:
 
 class TimeIndexedPolicy(list):
     """Finite-horizon policy: the list of its stages' AlphaPolicy, stage t
-    acting at time t = 0..horizon."""
+    acting at time t = 0..horizon.  ``stats`` of a solved one holds
+    "points", the belief points its backups ran at, summed over its stages."""
 
     kind = "time_indexed"
 
-    def __init__(self, stages, converged: bool = True):
+    def __init__(self, stages, converged: bool = True, stats: dict | None = None):
         super().__init__(stages)
         if not self:
             raise ValueError("time-indexed policy needs at least one stage")
         if len({stage.n_states for stage in self}) != 1:
             raise ValueError("stages of a time-indexed policy differ in state count")
         self.converged = bool(converged)
+        self.stats = stats or {}
 
     @property
     def horizon(self) -> int:
@@ -133,22 +136,18 @@ def _reward_map(prod, reward) -> np.ndarray:
     return reward
 
 
-def mdp_q_table(prod, reward, terminal: np.ndarray | None = None,
-                start: np.ndarray | None = None) -> np.ndarray:
+def mdp_q_table(prod, reward, terminal: np.ndarray | None = None) -> np.ndarray:
     """Q-table of the product MDP, which sees the state: >= its optimal
     Q-table Q* entrywise, and equal to it under fixed stopping.
 
     Geometric stopping: value iteration from the constant
-    max(reward)/(1-gamma), lowered to ``start`` where that is smaller;
-    ``start`` must be >= V*, as an earlier table's ``max(axis=1)`` at a
-    multiplier lam', raised by |lam - lam'| / gamma, is.  The constant is
-    exact on a state that earns the top reward forever, and value iteration
-    can settle from there in a few sweeps (38 on M7, against about 1700 from
-    a start above it there, whose excess falls only by gamma a sweep).
-    Stopped once no value falls by more than 1e-9.  Every sweep from values >= V* stays >= V*, so that
-    tolerance affects how tight the table is, not whether it bounds Q*.  Fixed stopping: T+1 steps
-    of backward induction onto ``terminal``, the stage rule of
-    solve_finite_horizon; ``start`` is not used.
+    max(reward)/(1-gamma), which is >= V*, so every sweep falls (no value
+    rises) and stays >= V*; the returned table is >= Q* however early it
+    stops.  It stops once its own error bound, gamma/(1-gamma) times the
+    largest fall in the last sweep, is at most UPPER_SLACK times the value
+    span (max - min reward)/(1 - gamma): the table then exceeds Q* by at
+    most that much.  Fixed stopping: T+1 steps of backward induction onto
+    ``terminal``, the stage rule of solve_finite_horizon.
     """
     reward = _reward_map(prod, reward)  # finite, so value iteration stops
     X, A = prod.n_states, prod.n_actions
@@ -156,13 +155,12 @@ def mdp_q_table(prod, reward, terminal: np.ndarray | None = None,
     stopping = prod.stopping
     if stopping.kind == "geometric":
         gamma = stopping.gamma
+        slack = UPPER_SLACK * (reward.max() - reward.min()) / (1.0 - gamma)
         V = np.full(X, reward.max() / (1.0 - gamma))
-        if start is not None:
-            V = np.minimum(V, start)
         while True:
             Q = reward + gamma * (P @ V).reshape(X, A)
             V_next = Q.max(axis=1)
-            if np.max(V - V_next) <= 1e-9:  # no value falls by more
+            if gamma / (1.0 - gamma) * np.max(V - V_next) <= slack:
                 break
             V = V_next
     else:
@@ -180,8 +178,9 @@ def start_bound(q_table: np.ndarray, prod) -> float:
 
 
 def mdp_upper_bound(prod, reward, terminal: np.ndarray | None = None) -> float:
-    """Upper bound on the optimal start value: ``start_bound`` of the cold
-    ``mdp_q_table``."""
+    """Upper bound on the optimal start value: ``start_bound`` of
+    ``mdp_q_table``, within UPPER_SLACK times the value span of the exact
+    product-MDP bound under geometric stopping and equal to it under fixed."""
     return start_bound(mdp_q_table(prod, reward, terminal), prod)
 
 
@@ -189,54 +188,62 @@ def mdp_upper_bound(prod, reward, terminal: np.ndarray | None = None) -> float:
 # Belief-set expansion
 # --------------------------------------------------------------------------
 
-def _add_belief(beliefs: list, b: np.ndarray, gap: float) -> bool:
-    for existing in beliefs:
-        if np.abs(existing - b).sum() <= gap:
-            return False
-    beliefs.append(b)
-    return True
+def _successors(prod, b: np.ndarray):
+    """Every Bayes successor of b: each action in turn, then each
+    observation with mass under it, by ``predict`` and ``condition``."""
+    for a in range(prod.n_actions):
+        predicted = predict(prod, b, a)
+        for o in np.nonzero(predicted @ prod.Z > 0)[0]:
+            yield condition(prod, predicted, o)
 
 
 def expand_beliefs_random_walk(prod, cfg: SolverConfig, gamma: float) -> np.ndarray:
     """Seeded random walk through belief space from the initial posteriors.
 
-    Restarts mimic episode ends (probability 1-gamma per step).  A step's
-    belief is admitted unless it lies within BELIEF_GAP (L1) of one already
-    held.  The walk stops once cfg.n_beliefs are held, after
-    200 * cfg.n_beliefs steps, or once the held set is closed, whichever
-    comes first.  The set is closed when the walk's current belief and
-    every Bayes successor of every held belief (each action, each
-    observation with mass, by ``predict`` and ``condition`` as the walk
-    steps) are held bit for bit.  A restart lands on an initial posterior,
-    each of which was admitted first or equals one that was, so every later
-    step then lands on a held belief (or one of equal value), which is never
-    admitted: the walk returns what it would have returned after all its
-    steps.  Closure is checked once per cfg.n_beliefs steps in a row that
-    admit nothing, and each held belief's successors are computed once, so
-    a walk that keeps admitting pays next to nothing for it; a model with
-    fewer reachable beliefs than n_beliefs stops soon after it holds them all.
+    Restarts mimic episode ends (probability 1-gamma per step).  The held
+    beliefs are the first rows of one preallocated array, the initial
+    posteriors first (each unless it equals one already held); a step's
+    belief b is admitted when ``np.abs(held - b).sum(axis=1)`` exceeds
+    BELIEF_GAP on every held row.  The walk stops once cfg.n_beliefs are
+    held, after 200 * cfg.n_beliefs steps, or once the held set is closed,
+    whichever comes first.  The set is closed when every Bayes successor of
+    every held belief (``_successors``) is held bit for bit.  Then the
+    walk's current belief is held too, and no later step can admit one: a
+    restart lands on an initial posterior, which is held or equals one that
+    is, and a step from a held belief lands on one of its successors, so by
+    induction every belief the walk reaches is held, and the walk returns
+    what it would have returned after all its steps.  Closure is checked
+    once per cfg.n_beliefs steps in a row that admit nothing, and each held
+    belief's successors are computed once, so a walk that keeps admitting
+    pays next to nothing for it.
     """
     rng = make_rng(derive_seed(cfg.expansion_seed, 0xB))
     seeds = [b for _, _, b in initial_beliefs(prod)]
-    beliefs: list[np.ndarray] = []
-    for b in seeds:
-        _add_belief(beliefs, b, 0.0)
-    held = {b.tobytes() for b in beliefs}
-    successors = set()  # bits of the Bayes successors of beliefs[:expanded]
-    expanded = 0
+    held = np.empty((max(cfg.n_beliefs, len(seeds)), prod.n_states))
+    n = 0
     stall = 0  # steps since the last admission
+
+    def admit(b, gap):
+        """Hold b as row n when it lies more than ``gap`` (L1) from every held row."""
+        nonlocal n, stall
+        if (np.abs(held[:n] - b).sum(axis=1) > gap).all():
+            held[n] = b
+            n += 1
+            stall = 0
+
+    for b in seeds:
+        admit(b, 0.0)
+    successors = set()  # bits of the Bayes successors of held[:expanded]
+    expanded = 0
     b = seeds[0]
     for _ in range(200 * cfg.n_beliefs):
-        if len(beliefs) >= cfg.n_beliefs:
+        if n >= cfg.n_beliefs:
             break
         if stall and stall % cfg.n_beliefs == 0:
-            for kept in beliefs[expanded:]:
-                for a in range(prod.n_actions):
-                    predicted = predict(prod, kept, a)
-                    successors.update(condition(prod, predicted, o).tobytes()
-                                      for o in np.nonzero(predicted @ prod.Z > 0)[0])
-            expanded = len(beliefs)
-            if b.tobytes() in held and successors <= held:
+            for kept in held[expanded:n]:
+                successors.update(post.tobytes() for post in _successors(prod, kept))
+            expanded = n
+            if successors <= {row.tobytes() for row in held[:n]}:
                 break
         stall += 1
         if rng.random() < 1.0 - gamma:
@@ -244,10 +251,8 @@ def expand_beliefs_random_walk(prod, cfg: SolverConfig, gamma: float) -> np.ndar
             continue
         predicted = predict(prod, b, int(rng.integers(prod.n_actions)))
         b = condition(prod, predicted, _categorical(rng, predicted @ prod.Z))
-        if _add_belief(beliefs, b, BELIEF_GAP):
-            held.add(b.tobytes())
-            stall = 0
-    return np.vstack(beliefs)
+        admit(b, BELIEF_GAP)
+    return held[:n]
 
 
 def expand_stage_beliefs(prod, T: int, cfg: SolverConfig) -> tuple[list[np.ndarray], bool]:
@@ -255,10 +260,10 @@ def expand_stage_beliefs(prod, T: int, cfg: SolverConfig) -> tuple[list[np.ndarr
     and whether any stage was capped.
 
     Stage 0 holds the initial posteriors.  Stage t+1 holds every distinct
-    Bayes successor of stage t, over every action and every observation with
-    mass, in enumeration order and deduplicated by their float64 bits.  A
-    stage with more than cfg.n_beliefs successors keeps a draw of n_beliefs
-    of them, in enumeration order, from the stream of cfg.expansion_seed.
+    Bayes successor (``_successors``) of stage t, in enumeration order and
+    deduplicated by their float64 bits.  A stage with more than
+    cfg.n_beliefs successors keeps a draw of n_beliefs of them, in
+    enumeration order, from the stream of cfg.expansion_seed.
     """
     rng = make_rng(derive_seed(cfg.expansion_seed, 0xF))
     stages = [np.vstack([b for _, _, b in initial_beliefs(prod)])]
@@ -266,11 +271,8 @@ def expand_stage_beliefs(prod, T: int, cfg: SolverConfig) -> tuple[list[np.ndarr
     for _ in range(T):
         successors: dict[bytes, np.ndarray] = {}
         for b in stages[-1]:
-            for a in range(prod.n_actions):
-                predicted = predict(prod, b, a)
-                for o in np.nonzero(predicted @ prod.Z > 0)[0]:
-                    post = condition(prod, predicted, o)
-                    successors.setdefault(post.tobytes(), post)
+            for post in _successors(prod, b):
+                successors.setdefault(post.tobytes(), post)
         stage = np.vstack(list(successors.values()))
         if len(stage) > cfg.n_beliefs:
             capped = True
@@ -422,7 +424,7 @@ def solve_finite_horizon(prod, reward, T: int, cfg: SolverConfig,
         new_mat, new_acts = _point_backup(plan, reward, 1.0, policy[t + 1].alphas)
         mat, acts, _ = _winners(stages[t], new_mat, new_acts)
         policy[t] = AlphaPolicy(mat, acts)
-    return TimeIndexedPolicy(policy, converged=not capped)
+    return TimeIndexedPolicy(policy, not capped, {"points": sum(map(len, stages[:T]))})
 
 
 def exact_value_oracle(prod, reward, T: int, terminal: np.ndarray | None = None) -> float:

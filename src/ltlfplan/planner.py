@@ -33,8 +33,7 @@ import numpy as np
 from . import pbvi, product
 from .files import write_csv, write_json
 from .pbvi import (
-    SolverConfig, mdp_q_table, mdp_upper_bound, solve_discounted, solve_finite_horizon,
-    start_bound, start_value,
+    SolverConfig, mdp_upper_bound, solve_discounted, solve_finite_horizon, start_value,
 )
 from .pomdp import RolloutCache, _inverse_cdfs, _pick, derive_seed
 from .product import ProductPomdp
@@ -110,7 +109,10 @@ class IterationRecord:
     p_se: float                 # standard errors of p_hat and r_hat
     r_se: float
     converged: bool
-    gap: float                  # MDP upper bound (mdp_q_table) minus the start value, at lam
+    gap: float                  # MDP upper bound (mdp_upper_bound) minus the start value, at lam
+    rounds: int                 # the solve's backup rounds, alpha vectors and belief points
+    alphas: int
+    beliefs: int
 
 
 @dataclass
@@ -318,18 +320,19 @@ GAP_SHARE = 0.1  # a converged discounted solve's largest gap(b0), as a share of
 
 
 def solve_at(prod: ProductPomdp, lam: float, delta: float, cfg: SolverConfig, warm=None):
-    """The policy at multiplier ``lam``, its gap at b0 (MDP upper bound minus
-    start value, on the scalarized scale) and the warm state for the next call.
+    """The policy at multiplier ``lam``, its gap at b0 (``mdp_upper_bound``
+    minus start value, on the scalarized scale) and the warm state for the
+    next call.
 
     Fixed stopping: ``solve_finite_horizon``, cold, and converged unless it
     capped a stage; the warm state is None.
     Geometric stopping: the first call walks belief space once; each later
     call backs up at the same beliefs from the previous alphas lowered by
-    |d lam| / gamma, so they stay lower bounds, and starts the MDP upper bound
-    from the previous values raised by as much (capped by ``mdp_q_table``).
-    It is converged only if the Bellman stop fired and the gap is at most
-    GAP_SHARE of the value span (max - min reward) / (1 - gamma).  The warm
-    state is (lam, beliefs, policy, upper-bound state values).
+    |d lam| / gamma, so they stay lower bounds.  The upper bound is computed
+    cold at every call, so the gap exceeds the exact product-MDP gap by at
+    most pbvi.UPPER_SLACK of the value span (max - min reward) / (1 - gamma).
+    The policy is converged only if the Bellman stop fired and the gap is at
+    most GAP_SHARE of that span.  The warm state is (lam, beliefs, policy).
     """
     reward, terminal, _ = scalarize(prod, lam, delta)
     stopping = prod.stopping
@@ -340,18 +343,24 @@ def solve_at(prod: ProductPomdp, lam: float, delta: float, cfg: SolverConfig, wa
     if warm is None:
         # looked up on the module, so a patched (e.g. traced) walk is the one called
         beliefs = pbvi.expand_beliefs_random_walk(prod, cfg, gamma)
-        warm_start = upper_start = None
+        warm_start = None
     else:
-        prev_lam, beliefs, prev, upper_values = warm
-        shift = abs(lam - prev_lam) / gamma
-        warm_start = (prev.alphas - shift, prev.actions)
-        upper_start = upper_values + shift
+        prev_lam, beliefs, prev = warm
+        warm_start = (prev.alphas - abs(lam - prev_lam) / gamma, prev.actions)
     policy = solve_discounted(prod, reward, gamma, cfg, warm_start=warm_start, beliefs=beliefs)
-    q_table = mdp_q_table(prod, reward, terminal, start=upper_start)
-    gap = start_bound(q_table, prod) - start_value(policy, prod)
+    gap = mdp_upper_bound(prod, reward) - start_value(policy, prod)
     span = (reward.max() - reward.min()) / (1.0 - gamma)
     policy.converged = bool(policy.converged and gap <= GAP_SHARE * span)
-    return policy, gap, (lam, beliefs, policy, q_table.max(axis=1))
+    return policy, gap, (lam, beliefs, policy)
+
+
+def _solve_counts(policy) -> tuple[int, int, int]:
+    """(backup rounds, alpha vectors, belief points) of a ``solve_at``
+    policy.  A time-indexed policy backs up once per stage t < T, at that
+    stage's points; its vectors are summed over its stages."""
+    if policy.kind == "time_indexed":
+        return policy.horizon, sum(len(stage.alphas) for stage in policy), policy.stats["points"]
+    return policy.stats["rounds"], len(policy.alphas), len(policy.stats["beliefs"])
 
 
 def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None) -> EGResult:
@@ -382,7 +391,7 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None) -> EG
         est = mc_evaluate(policy, prod, problem.simu, derive_seed(problem.base_seed, k))
         t_simu += time.perf_counter() - tic
         records.append(IterationRecord(k, lam, est.p_hat, est.r_hat, est.p_se, est.r_se,
-                                       policy.converged, gap))
+                                       policy.converged, gap, *_solve_counts(policy)))
         policies.append(policy)
         lam = eg_update_lambda(lam, est.p_hat, eta, B, delta)
 
@@ -410,14 +419,16 @@ def eg_solve(problem: ConstrainedProblem, cfg: SolverConfig | None = None) -> EG
                     timings={"t_solve_s": t_solve, "t_simu_s": t_simu})
 
 
-TRACE_COLUMNS = ("k", "lambda", "r_hat", "p_hat", "r_se", "p_se", "converged", "gap")
+TRACE_COLUMNS = ("k", "lambda", "r_hat", "p_hat", "r_se", "p_se", "converged", "gap",
+                 "rounds", "alphas", "beliefs")
 
 
 def trace_rows(result: EGResult) -> list[dict]:
     """One row per iteration, keyed by TRACE_COLUMNS: the records of
     result.json's trace and the rows of trace.csv."""
     return [dict(zip(TRACE_COLUMNS, (rec.k, rec.lam, rec.r_hat, rec.p_hat, rec.r_se, rec.p_se,
-                                     rec.converged, rec.gap)))
+                                     rec.converged, rec.gap, rec.rounds, rec.alphas,
+                                     rec.beliefs)))
             for rec in result.records]
 
 

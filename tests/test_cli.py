@@ -131,7 +131,7 @@ def test_solve_writes_artifacts_and_manifest(tmp_path, model_file):
     assert len(mixture["policies"]) == 3
     assert (out / mixture["policies"][0]).exists()
     trace = (out / "trace.csv").read_text().splitlines()
-    assert trace[0] == "k,lambda,r_hat,p_hat,r_se,p_se,converged,gap"
+    assert trace[0] == "k,lambda,r_hat,p_hat,r_se,p_se,converged,gap,rounds,alphas,beliefs"
     assert len(trace) == 4
     result = json.loads((out / "result.json").read_text())
     with open(out / "trace.csv", newline="") as fh:

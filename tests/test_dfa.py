@@ -132,6 +132,20 @@ def test_compile_budget_error(monkeypatch):
         compile_dfa(PHI["phi3"])
 
 
+def test_compile_canonicalizes_each_distinct_formula_once(monkeypatch):
+    """phi6's fixpoint progresses its states to 161 residuals, 23 of them
+    distinct: compile_dfa computes one canonical form per distinct one."""
+    calls = []
+
+    def counting(formula):
+        calls.append(formula)
+        return canonical_form(formula)
+
+    monkeypatch.setattr("ltlfplan.dfa.canonical_form", counting)
+    compile_dfa(PHI["phi6"])
+    assert len(calls) == len(set(calls)) == 23
+
+
 def test_compiler_transitions_match_progress_canonicalize():
     # delta(state, letter) must be the canonical form of progressing the
     # state's representative formula

@@ -4,9 +4,10 @@ import sits at module level, only ``product.py`` constructs a
 ``files.py`` writes or reads artifact files, only ``pomdp.py`` imports
 ``hashlib``, the seed hash, or builds and positions Philox generators,
 outside ``pomdp.py`` only ``planner.rollouts`` draws rollout heads and
-mixture picks, the body of ``pomdp.sample_trajectory`` names no ``np.``
-attribute, the body of ``planner.eg_solve`` names no solver function
-and reads no ``.stopping``, ``planner.py`` reaches the simulator and the
+mixture picks, only ``pbvi._successors`` tests observations for mass,
+the body of ``pomdp.sample_trajectory`` names no ``np.`` attribute, the
+body of ``planner.eg_solve`` names no solver function and reads no
+``.stopping``, ``planner.py`` reaches the simulator and the
 belief walk only through the module attributes perfbench's tracer patches,
 and every public top-level function and class
 is read somewhere in the package or the benchmark, or is listed in
@@ -238,6 +239,38 @@ def test_the_check_sees_a_stream_read():
                      "head = RolloutCache.draw\n")
     assert sorted(set(stream_reads(tree, "rollouts"))) == [1, 6, 7]
     assert sorted(set(stream_reads(tree))) == [1, 4, 6, 7]
+
+
+def mass_tests(tree, home=None):
+    """Lines that test observations for mass, a comparison ``... @ <model>.Z > ...``,
+    outside the body of the function named ``home``."""
+    inside = {id(node) for scope in ast.walk(tree)
+              if isinstance(scope, ast.FunctionDef) and scope.name == home
+              for node in ast.walk(scope)}
+    for node in ast.walk(tree):
+        if id(node) not in inside and isinstance(node, ast.Compare) \
+                and isinstance(node.ops[0], ast.Gt) and isinstance(node.left, ast.BinOp) \
+                and isinstance(node.left.op, ast.MatMult) \
+                and isinstance(node.left.right, ast.Attribute) and node.left.right.attr == "Z":
+            yield node.lineno
+
+
+def test_only_successors_tests_observations_for_mass():
+    """Every Bayes successor of a belief (each action, each observation with
+    mass) comes from one place, pbvi._successors; exact_value_oracle, the
+    independent reference, keeps its own step."""
+    found = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if (lines := sorted(set(mass_tests(
+                 ast.parse(path.read_text()), "_successors" if path.name == "pbvi.py" else None))))}
+    assert not found, f"observations tested for mass outside pbvi._successors: {found}"
+
+
+def test_the_check_sees_a_mass_test():
+    tree = ast.parse("def _successors(prod, b):\n    return np.nonzero(b @ prod.Z > 0)\n"
+                     "def walk(prod, b):\n    live = b @ prod.Z > 0\n"
+                     "    draw = b @ prod.Z\n    return (b @ model.Z > 1e-12), b @ prod.P > 0\n")
+    assert sorted(set(mass_tests(tree, "_successors"))) == [4, 6]
+    assert sorted(set(mass_tests(tree))) == [2, 4, 6]
 
 
 def body_nodes(tree, function):

@@ -146,6 +146,17 @@ def drifting_two_state():
                         m.atoms, m.labels, m.rewards, m.stopping)
 
 
+def close_seeds_two_state():
+    """The two-state model with a faint two-valued observation: its initial
+    posteriors (0.502, 0.498) and (0.498, 0.502) lie within BELIEF_GAP of
+    each other, and the walk holds both, as it admits initial posteriors
+    unless one equals a held one."""
+    m = uninformative_two_state(stopping=StoppingModel.geometric(0.9))
+    return LabeledPomdp(m.name, m.states, m.actions, ["lo", "hi"], m.P,
+                        [[0.502, 0.498], [0.498, 0.502]], m.varpi, m.atoms, m.labels,
+                        m.rewards, m.stopping)
+
+
 WALKS = {
     "twostate": twostate_product,  # 4 reachable beliefs: a closed set
     "fully_observable": lambda: product_of(fully_observable(
@@ -154,11 +165,14 @@ WALKS = {
     "uninformative": lambda: trivial_product(  # one belief, (0.5, 0.5): closed at once
         uninformative_two_state(stopping=StoppingModel.geometric(0.9))),
     "drift": lambda: trivial_product(drifting_two_state()),  # stalls, but never closed
+    "close_seeds": lambda: trivial_product(close_seeds_two_state()),  # seeds within BELIEF_GAP
     "M1": lambda: build_instance("M1"),
+    "M7": lambda: build_instance("M7"),
+    "M8": lambda: build_instance("M8"),
 }
 
 
-@pytest.mark.parametrize("n_beliefs, seed", [(8, 1), (12, 2), (60, 3)])
+@pytest.mark.parametrize("n_beliefs, seed", [(8, 1), (12, 2), (60, 3), (100, 1)])
 @pytest.mark.parametrize("case", sorted(WALKS))
 def test_walk_returns_the_full_walks_beliefs(case, n_beliefs, seed):
     """The closure stop changes no bit of the returned belief array."""

@@ -443,28 +443,29 @@ def test_theorem2_report_contents(twostate_product):
     assert report["r_m_upper_bound"] >= start_value(unconstrained, twostate_product)
 
 
-def test_warm_upper_bounds_hold_and_match_cold_ones(monkeypatch):
-    """eg_solve starts each iteration's MDP upper bound from the previous
-    one's values raised by |d lam| / gamma: the bound stays >= the iterate's
-    start value and within 1e-6 of the cold bound at the same lam."""
-    starts = []
-    q_table = planner.mdp_q_table
-
-    def recording(*args, start=None):
-        starts.append(start)
-        return q_table(*args, start=start)
-
-    monkeypatch.setattr(planner, "mdp_q_table", recording)
+def test_upper_bound_stops_within_its_slack_and_is_the_recorded_gap(monkeypatch):
+    """On M1 at lam = B/2, mdp_q_table's table is >= one iterated on to a
+    1e-12 fall, entrywise, and its start bound exceeds that table's by at
+    most UPPER_SLACK of the value span; each eg_solve record's gap is
+    mdp_upper_bound at its lam minus the iterate's start value, exactly."""
     prod, preset = build_instance("M1"), PRESETS["M1"]
+    delta = 1.0 - preset.threshold
+    reward = scalarize(prod, preset.B / 2, delta)[0]
+    gamma = prod.stopping.gamma
+    span = (reward.max() - reward.min()) / (1.0 - gamma)
+    table = pbvi.mdp_q_table(prod, reward)
+    with monkeypatch.context() as patch:  # stops once no value falls by more than 1e-12
+        patch.setattr(pbvi, "UPPER_SLACK", 1e-12 * gamma / (1.0 - gamma) / span)
+        fine = pbvi.mdp_q_table(prod, reward)
+    assert np.all(table >= fine) and not np.array_equal(table, fine)
+    excess = pbvi.start_bound(table, prod) - pbvi.start_bound(fine, prod)
+    assert 0.0 <= excess <= pbvi.UPPER_SLACK * span
     problem = ConstrainedProblem(prod, threshold=preset.threshold, B=preset.B, K=3,
                                  eta=preset.eta, simu=20, base_seed=1)
     result = eg_solve(problem, SolverConfig(n_beliefs=20, max_backup_rounds=30, expansion_seed=1))
-    assert starts[0] is None and all(start is not None for start in starts[1:])
     for rec, policy in zip(result.records, result.mixture.policies):
-        lower = start_value(policy, prod)
-        cold = mdp_upper_bound(prod, scalarize(prod, rec.lam, problem.delta)[0])
-        assert rec.gap >= 0.0
-        assert abs(rec.gap + lower - cold) <= 1e-6
+        bound = mdp_upper_bound(prod, scalarize(prod, rec.lam, delta)[0])
+        assert rec.gap == bound - start_value(policy, prod)
 
 
 def test_eg_solve_makes_k_solves_over_one_belief_walk(twostate_product, monkeypatch):
@@ -598,6 +599,26 @@ def test_records_carry_the_iteration_standard_errors(twostate_product):
             (est.p_hat, est.r_hat, est.p_se, est.r_se)
         assert (entry["p_se"], entry["r_se"]) == (est.p_se, est.r_se)
     assert any(rec.p_se > 0 or rec.r_se > 0 for rec in result.records)
+
+
+def test_records_carry_each_solves_rounds_alphas_and_beliefs(twostate_product):
+    """A record's solver counts are its policy's, and reach the trace rows; a
+    fixed-horizon solve counts one round per stage t < T and the belief
+    points of those stages."""
+    cfg = SolverConfig(n_beliefs=8, max_backup_rounds=150)
+    stages, _ = pbvi.expand_stage_beliefs(tiny_fixed_product(), 2, cfg)
+    for prod in (twostate_product, tiny_fixed_product()):
+        problem = ConstrainedProblem(prod, threshold=0.6, B=4.0, K=2, eta=1.0, simu=10)
+        result = eg_solve(problem, cfg)
+        for rec, policy, row in zip(result.records, result.mixture.policies,
+                                    planner.trace_rows(result)):
+            if policy.kind == "stationary":
+                want = (policy.stats["rounds"], len(policy.alphas), len(policy.stats["beliefs"]))
+            else:
+                want = (3, sum(len(stage.alphas) for stage in policy), sum(map(len, stages)))
+            assert (rec.rounds, rec.alphas, rec.beliefs) == want
+            assert (row["rounds"], row["alphas"], row["beliefs"]) == want
+            assert all(count > 0 for count in want)
 
 
 def test_lemma2_identity_statistical_small():
